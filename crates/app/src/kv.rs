@@ -51,7 +51,7 @@ pub enum KvOp {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct KvCmd {
     /// Globally unique request id (namespace it per client, e.g. with
-    /// `gencon_load::encode_cmd`).
+    /// `gencon_types::encode_cmd`).
     pub id: u64,
     /// The operation.
     pub op: KvOp,

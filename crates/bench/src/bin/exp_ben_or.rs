@@ -11,14 +11,14 @@
 use gencon_algos::{ben_or_benign, ben_or_byzantine};
 use gencon_bench::{run_scenario, Table};
 use gencon_core::Decision;
-use gencon_load::LatencyHistogram;
+use gencon_metrics::Histogram;
 use gencon_sim::{properties, CrashPlan, RandomSubset};
 
 const SEEDS: u64 = 40;
 const MAX_ROUNDS: u64 = 3000;
 
 fn series(t: &mut Table, label: &str, n: usize, f: usize, b: usize) {
-    let mut rounds = LatencyHistogram::new();
+    let rounds = Histogram::default();
     for seed in 0..SEEDS {
         let spec = if b > 0 {
             ben_or_byzantine::<u64>(n, b, [0, 1], seed).unwrap()
@@ -51,7 +51,7 @@ fn series(t: &mut Table, label: &str, n: usize, f: usize, b: usize) {
         n.to_string(),
         format!("{:.1}", rounds.mean()),
         rounds.p50().to_string(),
-        rounds.p90().to_string(),
+        rounds.quantile(0.9).to_string(),
         rounds.max().to_string(),
         format!("{}/{}", rounds.count(), SEEDS),
     ]);

@@ -14,7 +14,7 @@
 use gencon_algos::AlgorithmSpec;
 use gencon_bench::{run_scenario, run_synchronous, Table};
 use gencon_core::{ClassId, Params};
-use gencon_load::LatencyHistogram;
+use gencon_metrics::Histogram;
 use gencon_sim::{CrashAt, CrashPlan, Gst};
 use gencon_types::{Config, ProcessId, Round};
 
@@ -62,10 +62,8 @@ fn main() {
     let mut t2 = Table::new(["GST round", "p50", "p90", "p99", "max", "mean"]);
     let s3 = spec(ClassId::Three, 4, 1);
     for gst in [1u64, 4, 7, 13] {
-        // Per-(GST, seed) latencies aggregate into one mergeable histogram
-        // per GST — the same log-bucketed `gencon-load` histogram the SMR
-        // load harness uses, replacing per-seed ad-hoc arithmetic.
-        let mut hist = LatencyHistogram::new();
+        // Per-(GST, seed) latencies aggregate into one histogram per GST.
+        let hist = Histogram::default();
         for seed in 1u64..=24 {
             let out = run_scenario(
                 &s3,
@@ -90,7 +88,7 @@ fn main() {
         t2.row([
             gst.to_string(),
             hist.p50().to_string(),
-            hist.p90().to_string(),
+            hist.quantile(0.9).to_string(),
             hist.p99().to_string(),
             hist.max().to_string(),
             format!("{:.1}", hist.mean()),

@@ -9,10 +9,10 @@
 //! * [`Counter`] — monotonically increasing `u64` (frames decoded,
 //!   fsyncs, acks, drops);
 //! * [`Gauge`] — last-written `u64` (queue depth, watermark position);
-//! * [`Histogram`] — lock-free log-bucketed samples with the same
-//!   HDR-style bucketing as `gencon_load`'s `LatencyHistogram` (exact
-//!   below 64, ≤3.1% relative error above), for stage latencies in
-//!   microseconds;
+//! * [`Histogram`] — lock-free log-bucketed samples with HDR-style
+//!   log-linear bucketing (exact below 64, ≤3.1% relative error above),
+//!   for stage latencies in microseconds and the experiment binaries'
+//!   rounds-to-decision distributions;
 //! * [`Registry`] — names them, hands out cheap `Arc`-backed handles,
 //!   and renders everything as one flat JSON object with stable key
 //!   order ([`Registry::dump_json`]).
@@ -45,8 +45,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Sub-bucket resolution: 2^SUB sub-buckets per octave (matches
-/// `gencon_load::LatencyHistogram`).
+/// Sub-bucket resolution: 2^SUB sub-buckets per octave.
 const SUB: u32 = 5;
 /// Values below this are their own bucket (exact).
 const LINEAR_MAX: u64 = 1 << (SUB + 1);
@@ -106,7 +105,8 @@ struct HistogramInner {
     max: AtomicU64,
 }
 
-/// Bucket index of `v` (same scheme as `gencon_load`'s histogram).
+/// Bucket index of `v`: values below `LINEAR_MAX` are exact; above,
+/// each power-of-two octave splits into 2^SUB sub-buckets.
 fn index_of(v: u64) -> usize {
     if v < LINEAR_MAX {
         return v as usize;

@@ -37,17 +37,7 @@ use gencon_app::{KvCmd, KvOp, KvReply};
 use gencon_net::Wire;
 use gencon_server::cli::{flag_value, parse_flag};
 use gencon_server::{read_frame, write_frame, ClientRequest, ClientResponse};
-use gencon_types::Value;
-
-/// 16-bit namespace, 16-bit client, 32-bit sequence (mirrors
-/// `gencon_load::encode_cmd` without the dependency).
-fn encode_cmd(namespace: u16, client: u16, seq: u32) -> u64 {
-    ((namespace as u64) << 48) | ((client as u64) << 32) | seq as u64
-}
-
-fn decode_client(cmd: u64) -> u16 {
-    (cmd >> 32) as u16
-}
+use gencon_types::{decode_cmd, encode_cmd, Value};
 
 fn parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     parse_flag("gencon-client", args, flag, default)
@@ -227,7 +217,7 @@ fn main() {
                 server,
                 &shared,
                 |client, seq| encode_cmd(ns, client, seq),
-                |cmd| decode_client(*cmd),
+                |cmd| decode_cmd(*cmd).1,
                 |_reply| {},
             );
             if json {
@@ -261,7 +251,7 @@ fn main() {
                 server,
                 &shared,
                 make,
-                |cmd| decode_client(cmd.id),
+                |cmd| decode_cmd(cmd.id).1,
                 |reply| match reply {
                     Some(KvReply::Value(Some(_))) => hits += 1,
                     Some(KvReply::Value(None)) => misses += 1,

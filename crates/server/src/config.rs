@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-/// Configuration of [`run_smr_node`](crate::run_smr_node).
+/// Configuration of [`run_smr_node_observed`](crate::run_smr_node_observed).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// First round's collect deadline (the adaptive band's starting point).

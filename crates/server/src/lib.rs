@@ -12,7 +12,7 @@
 //! ```text
 //! gencon-client ──Submit{cmd}──► ClientGateway ─┐ (NodeHook)
 //!                                               ▼
-//!           ┌──────────── run_smr_node event loop ───────────┐
+//!           ┌──────── run_smr_node_observed event loop ──────┐
 //!           │ drain clients → replica.send → mesh broadcast  │
 //!           │ collect ≤ AdaptiveDeadline → replica.receive   │
 //!           │ ack applied commands ◄─ applied log grows      │
@@ -57,8 +57,8 @@ pub use deadline::AdaptiveDeadline;
 pub use durable::{recover_replica, DurableConfig, DurableNode, RecoveredState};
 pub use gateway::{ClientGateway, GatewayConfig};
 pub use node::{
-    run_smr_node, run_smr_node_metered, run_smr_node_observed, NoHook, NodeHook, NodeStats,
-    CHUNKS_SERVED_PER_SENDER_PER_ROUND, CHUNK_REQUESTS_PER_ROUND, FUTURE_HORIZON, INGEST_QUEUE_CAP,
-    LIVENESS_GRACE, SNAPSHOT_GAP_MIN, SNAPSHOT_PROBE_AFTER,
+    run_smr_node_observed, NoHook, NodeHook, NodeStats, CHUNKS_SERVED_PER_SENDER_PER_ROUND,
+    CHUNK_REQUESTS_PER_ROUND, FUTURE_HORIZON, INGEST_QUEUE_CAP, LIVENESS_GRACE, SNAPSHOT_GAP_MIN,
+    SNAPSHOT_PROBE_AFTER,
 };
 pub use protocol::{read_frame, write_frame, ClientRequest, ClientResponse};

@@ -1,7 +1,7 @@
 //! The SMR node event loop: a replicated log over a real transport.
 //!
-//! [`run_smr_node`] drives one [`BatchingReplica`] slot-by-slot over any
-//! [`Transport`] with wall-clock round pacing:
+//! [`run_smr_node_observed`] drives one [`BatchingReplica`] slot-by-slot
+//! over any [`Transport`] with wall-clock round pacing:
 //!
 //! * **Adaptive deadlines** — each round's collect window comes from an
 //!   [`AdaptiveDeadline`]: it shrinks toward 2× the observed round time
@@ -44,8 +44,7 @@
 //!   state) with no history ceiling.
 //! * **Hooks** — a [`NodeHook`] injects client submissions before each
 //!   round, harvests commits after it, and serves/persists snapshots; the
-//!   TCP client gateway, the durability layer and the load harness are
-//!   all hooks.
+//!   TCP client gateway and the durability layer are both hooks.
 //!
 //! [`SnapshotManifest`]: gencon_net::SnapshotManifest
 //! [`ChunkRequest`]: gencon_net::SyncFrame::ChunkRequest
@@ -429,25 +428,21 @@ fn ingest_loop<V: Value + Wire>(
 /// result), the transport (reusable — e.g. to restart a node on the same
 /// endpoint after a simulated crash), run statistics, and the hook (so
 /// callers can read its end state — gateway counters, WAL statistics).
-pub fn run_smr_node<V, T, H>(
-    replica: BatchingReplica<V>,
-    transport: T,
-    cfg: ServerConfig,
-    hook: H,
-) -> (BatchingReplica<V>, T, NodeStats, H)
-where
-    V: Value + Wire + CmdKey,
-    T: Transport,
-    H: NodeHook<V>,
-{
-    run_smr_node_metered(replica, transport, cfg, hook, None)
-}
-
-/// [`run_smr_node`] with per-stage instruments registered in `metrics`
-/// (`ingest.*`, `order.*`, `transfer.*`; the durable and gateway hooks
-/// add `persist.*`, `apply.*` and `ack.*` when built with the same
-/// registry). With `None` the node meters into a private throwaway
-/// registry — the instruments cost a handful of atomics either way.
+///
+/// The three optional observers are independent:
+///
+/// * `metrics` receives the per-stage instruments (`ingest.*`,
+///   `order.*`, `transfer.*`; the durable and gateway hooks add
+///   `persist.*`, `apply.*` and `ack.*` when built with the same
+///   registry). With `None` the node meters into a private throwaway
+///   registry — the instruments cost a handful of atomics either way.
+/// * `trace` receives the slot-lifecycle, state-transfer and
+///   peer-liveness events of this node (ingest/order here; the gateway
+///   and durable hooks record their own stages when built with the same
+///   recorder).
+/// * `peers` is continuously updated with last-heard rounds, advertised
+///   watermarks and written-off flags — the table the admin endpoint's
+///   `status` command snapshots.
 ///
 /// The node core is a staged pipeline:
 ///
@@ -467,28 +462,6 @@ where
 /// and drives the hook, exactly as before the split. On exit the ingest
 /// stage is stopped and joined, the receive half is restored into the
 /// transport, and [`NodeHook::finish`] drains the downstream stages.
-pub fn run_smr_node_metered<V, T, H>(
-    replica: BatchingReplica<V>,
-    transport: T,
-    cfg: ServerConfig,
-    hook: H,
-    metrics: Option<&Registry>,
-) -> (BatchingReplica<V>, T, NodeStats, H)
-where
-    V: Value + Wire + CmdKey,
-    T: Transport,
-    H: NodeHook<V>,
-{
-    run_smr_node_observed(replica, transport, cfg, hook, metrics, None, None)
-}
-
-/// [`run_smr_node_metered`] plus the flight recorder and per-peer health
-/// table: `trace` receives the slot-lifecycle, state-transfer and
-/// peer-liveness events of this node (ingest/order here; the gateway and
-/// durable hooks record their own stages when built with the same
-/// recorder), and `peers` is continuously updated with last-heard
-/// rounds, advertised watermarks and written-off flags — the table the
-/// admin endpoint's `status` command snapshots.
 pub fn run_smr_node_observed<V, T, H>(
     mut replica: BatchingReplica<V>,
     mut transport: T,
@@ -1292,7 +1265,8 @@ mod tests {
                     n,
                 };
                 std::thread::spawn(move || {
-                    let (rep, _tr, stats, _hook) = run_smr_node(replica, tr, cfg, hook);
+                    let (rep, _tr, stats, _hook) =
+                        run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
                     (rep, stats)
                 })
             })
@@ -1381,7 +1355,7 @@ mod tests {
                         max_rounds: 5_000,
                         stop_after_commands: None,
                     };
-                    run_smr_node(replica, tr, cfg, hook)
+                    run_smr_node_observed(replica, tr, cfg, hook, None, None, None)
                 })
             })
             .collect();

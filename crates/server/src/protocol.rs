@@ -35,7 +35,7 @@ pub enum ClientRequest<V> {
     /// Submit one command for replication.
     Submit {
         /// The command; must be globally unique (clients namespace their
-        /// ids, see `gencon_load::encode_cmd`).
+        /// ids, see `gencon_types::encode_cmd`).
         cmd: V,
     },
 }

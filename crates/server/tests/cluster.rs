@@ -18,11 +18,11 @@ use gencon_algos::pbft;
 use gencon_app::LogApp;
 use gencon_net::{probe_free_addrs, ChannelTransport, TcpTransport};
 use gencon_server::{
-    read_frame, run_smr_node, write_frame, ClientGateway, ClientRequest, ClientResponse,
+    read_frame, run_smr_node_observed, write_frame, ClientGateway, ClientRequest, ClientResponse,
     GatewayConfig, NodeHook, ServerConfig,
 };
 use gencon_smr::{Batch, BatchingReplica};
-use gencon_types::ProcessId;
+use gencon_types::{decode_cmd, encode_cmd, ProcessId};
 
 /// Delegates to the gateway; the node keeps serving until every *client*
 /// reported done (the shutdown signal real deployments get from outside),
@@ -67,14 +67,12 @@ fn closed_loop_client(
     outstanding: u32,
     count: usize,
 ) -> Vec<u64> {
-    let encode =
-        |c: u16, seq: u32| ((namespace as u64) << 48) | ((c as u64) << 32) | u64::from(seq);
     let mut stream = TcpStream::connect(server).expect("client connects");
     stream.set_nodelay(true).ok();
     let mut next_seq = vec![0u32; clients as usize];
     for c in 0..clients {
         for _ in 0..outstanding {
-            let cmd = encode(c, next_seq[c as usize]);
+            let cmd = encode_cmd(namespace, c, next_seq[c as usize]);
             next_seq[c as usize] += 1;
             write_frame(&mut stream, &ClientRequest::Submit { cmd }).unwrap();
         }
@@ -84,8 +82,8 @@ fn closed_loop_client(
         match read_frame::<_, ClientResponse<u64>>(&mut stream).expect("server answers") {
             ClientResponse::Committed { cmd, .. } => {
                 acked.push(cmd);
-                let c = (cmd >> 32) as u16;
-                let cmd = encode(c, next_seq[c as usize]);
+                let c = decode_cmd(cmd).1;
+                let cmd = encode_cmd(namespace, c, next_seq[c as usize]);
                 next_seq[c as usize] += 1;
                 write_frame(&mut stream, &ClientRequest::Submit { cmd }).unwrap();
             }
@@ -138,7 +136,8 @@ fn tcp_pbft_cluster_serves_1000_client_commands() {
                 clients_done,
                 grace_left: 40,
             };
-            let (replica, _t, stats, _hook) = run_smr_node(replica, transport, cfg, hook);
+            let (replica, _t, stats, _hook) =
+                run_smr_node_observed(replica, transport, cfg, hook, None, None, None);
             (replica, stats)
         }));
     }
@@ -254,7 +253,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done: Arc::clone(&done),
                     quorum: N,
                 };
-                let (dead, transport, _stats, _hook) = run_smr_node(replica, tr, cfg, hook);
+                let (dead, transport, _stats, _hook) =
+                    run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
                 let committed_before_death = dead.applied().len();
                 drop(dead); // all replica state is lost
                             // The cluster runs on while this node is down — long
@@ -276,7 +276,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done,
                     quorum: N,
                 };
-                let (replica, _t, stats, _hook) = run_smr_node(fresh, transport, cfg, hook);
+                let (replica, _t, stats, _hook) =
+                    run_smr_node_observed(fresh, transport, cfg, hook, None, None, None);
                 assert!(
                     stats.fast_forwards > 0,
                     "the restarted node must jump to the cluster's round"
@@ -294,7 +295,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done,
                     quorum: N,
                 };
-                let (replica, _t, _stats, _hook) = run_smr_node(replica, tr, cfg, hook);
+                let (replica, _t, _stats, _hook) =
+                    run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
                 (replica, 0)
             }
         }));

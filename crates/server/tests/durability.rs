@@ -5,6 +5,9 @@
 //! node must rebuild from its data dir (fold restore + WAL replay) and
 //! close the remaining gap via `b + 1`-vouched **chunked state
 //! transfer** over the mesh.
+//!
+//! Two more tests run a durable cluster observed on node 0 and check
+//! that the per-stage metrics and the per-slot trace spans populate.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -13,13 +16,16 @@ use std::time::{Duration, Instant};
 
 use gencon_algos::pbft;
 use gencon_app::{Applier, Folder, LogApp};
+use gencon_metrics::Registry;
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
 use gencon_net::ChannelTransport;
 use gencon_server::{
-    recover_replica, run_smr_node, DurableConfig, DurableNode, NodeHook, NodeStats, ServerConfig,
+    recover_replica, run_smr_node_observed, DurableConfig, DurableNode, NodeHook, NodeStats,
+    ServerConfig,
 };
 use gencon_smr::{Batch, BatchingReplica};
 use gencon_store::{FileWal, MemStore, WalConfig};
+use gencon_trace::{assemble_spans, FlightRecorder};
 use gencon_types::ProcessId;
 
 const N: usize = 4;
@@ -196,7 +202,7 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     ),
                 );
                 let (dead, transport, _stats, _hook) =
-                    run_smr_node(replica, tr, server_cfg(), hook);
+                    run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
                 let committed_at_death = dead.committed_slots() as u64;
                 drop(dead); // kill -9: every byte of replica state gone
                 assert!(committed_at_death >= 6);
@@ -238,7 +244,8 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     folder,
                     make_driver(i, 0, true, None, done, None, applier),
                 );
-                let (replica, _t, stats, hook) = run_smr_node(fresh, transport, server_cfg(), hook);
+                let (replica, _t, stats, hook) =
+                    run_smr_node_observed(fresh, transport, server_cfg(), hook, None, None, None);
                 let digest = hook.inner().applier.app().prefix_hash(TARGET);
                 (replica, stats, committed_at_death, recovered_slots, digest)
             } else {
@@ -259,7 +266,8 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                         Applier::default(),
                     ),
                 );
-                let (replica, _t, stats, hook) = run_smr_node(replica, tr, server_cfg(), hook);
+                let (replica, _t, stats, hook) =
+                    run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
                 let digest = hook.inner().applier.app().prefix_hash(TARGET);
                 (replica, stats, 0, 0, digest)
             }
@@ -323,4 +331,110 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
     }
 
     std::fs::remove_dir_all(&data_dir).ok();
+}
+
+/// Runs a durable cluster to `TARGET` with `registry` and `recorder`
+/// (when given) attached to node 0's pipeline stages and node loop.
+fn run_observed_cluster(tag: &str, registry: Option<&Registry>, recorder: Option<&FlightRecorder>) {
+    let spec = pbft::<Batch<u64>>(N, 1).unwrap();
+    let done = Arc::new(AtomicUsize::new(0));
+    let data_dir = tmpdir(tag);
+    let give_up = Instant::now() + Duration::from_secs(120);
+
+    let mut handles = Vec::new();
+    for (i, tr) in ChannelTransport::mesh(N).into_iter().enumerate() {
+        let params = spec.params.clone();
+        let done = Arc::clone(&done);
+        let dir = data_dir.join(format!("node{i}"));
+        let (reg, rec) = if i == 0 {
+            (registry.cloned(), recorder.cloned())
+        } else {
+            (None, None)
+        };
+        handles.push(std::thread::spawn(move || {
+            let replica = BatchingReplica::new(ProcessId::new(i), params, 4, usize::MAX)
+                .unwrap()
+                .with_window(4);
+            let (wal, _) = FileWal::open(&dir, WalConfig::default()).expect("open wal");
+            let driver = Driver {
+                id: i,
+                feed: FEED,
+                fed: false,
+                die_at_slot: None,
+                marked: false,
+                done,
+                quorum: N,
+                base_floor: None,
+                applier: Applier::default(),
+                give_up,
+            };
+            let mut hook =
+                DurableNode::new(wal, durable_cfg(), Folder::<LogApp<u64>>::default(), driver);
+            if let Some(r) = &reg {
+                hook = hook.with_metrics(r);
+            }
+            if let Some(r) = &rec {
+                hook = hook.with_trace(r.clone());
+            }
+            let (replica, _t, _stats, _hook) = run_smr_node_observed(
+                replica,
+                tr,
+                server_cfg(),
+                hook,
+                reg.as_ref(),
+                rec.as_ref(),
+                None,
+            );
+            replica
+        }));
+    }
+    let replicas: Vec<BatchingReplica<u64>> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for (i, rep) in replicas.iter().enumerate() {
+        assert!(
+            rep.applied_len() >= TARGET,
+            "node {i} applied only {} of {TARGET}",
+            rep.applied_len()
+        );
+    }
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
+/// With a metrics registry on node 0, every stage of the durable
+/// pipeline reports into it.
+#[test]
+fn per_stage_metrics_populate_on_node_zero() {
+    let registry = Registry::new();
+    run_observed_cluster("metered", Some(&registry), None);
+
+    let counter = |name: &str| registry.counter_value(name).unwrap_or(0);
+    assert!(counter("order.rounds") > 0, "order stage metered");
+    assert!(counter("persist.appended") > 0, "persist stage metered");
+    assert!(counter("persist.fsyncs") > 0, "group commits metered");
+    assert!(registry.histogram("order.round_us").count() > 0);
+    assert!(registry.histogram("persist.fsync_us").count() > 0);
+}
+
+/// With a flight recorder on node 0, the recorder's events assemble
+/// into per-slot spans with the consensus, persist-queue and
+/// group-commit segments populated.
+#[test]
+fn traced_durable_run_yields_slot_spans() {
+    let recorder = FlightRecorder::new(1 << 15);
+    run_observed_cluster("traced", None, Some(&recorder));
+
+    let spans = assemble_spans(&recorder.tail(recorder.capacity()));
+    assert!(!spans.is_empty(), "no spans assembled");
+    assert!(
+        spans.iter().any(|s| s.order_us.is_some()),
+        "no span carries an order segment"
+    );
+    assert!(
+        spans.iter().any(|s| s.persist_wait_us.is_some()),
+        "no span carries a persist queue-wait segment"
+    );
+    assert!(
+        spans.iter().any(|s| s.persist_svc_us.is_some()),
+        "no span carries a group-commit segment"
+    );
 }

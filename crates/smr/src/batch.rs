@@ -396,7 +396,7 @@ impl<V: Value> BatchingReplica<V> {
     /// Installs a snapshot of the applied prefix: `pairs` are the applied
     /// `(command, slot)` pairs of **every** slot below `upto_slot`, in
     /// apply order (the decoded state-transfer payload, or the recovered
-    /// `snapshot.bin` at startup). Returns whether the snapshot was
+    /// snapshot cut at startup). Returns whether the snapshot was
     /// installed — it is ignored unless it extends this replica's
     /// committed prefix.
     ///
@@ -759,8 +759,8 @@ mod tests {
         }
         let mut sim = builder.build().unwrap();
         // Nothing queued: the first slots are no-ops. (We can't reach inside
-        // the sim to submit later — that's the `gencon-sim` injection hook's
-        // job; see `gencon-load`.) Here just check no-op slots don't count
+        // the sim to submit later — that's the `gencon-sim` injection
+        // hook's job.) Here just check no-op slots don't count
         // toward the command target.
         for _ in 0..6 {
             sim.step();

@@ -134,8 +134,8 @@ proptest! {
     }
 }
 
-/// Deterministic end-to-end check of the 4× throughput claim the `loadgen`
-/// smoke sweep asserts, at the test tier.
+/// Deterministic end-to-end check of the 4× batching throughput claim
+/// at the test tier.
 #[test]
 fn batching_amortizes_rounds_per_command() {
     let spec = pbft::<Batch<u64>>(4, 1).unwrap();

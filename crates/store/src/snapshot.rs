@@ -54,7 +54,7 @@ impl Snapshot {
 }
 
 /// SHA-256 of snapshot state bytes — the hash peers compare during state
-/// transfer and recovery verifies after reading `snapshot.bin`.
+/// transfer and recovery verifies after reading a snapshot cut file.
 #[must_use]
 pub fn state_hash(state: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();

@@ -13,10 +13,9 @@
 //!   wal-00000000000000000512.seg   # first slot of the segment, zero-padded
 //! ```
 //!
-//! (A legacy single-snapshot layout's `snapshot.bin` is still read and
-//! counts as one retained cut.) Only the **newest** cut drives recovery
-//! and compaction; older cuts are kept so a laggard that started a state
-//! transfer against a slightly older manifest can finish fetching it.
+//! Only the **newest** cut drives recovery and compaction; older cuts
+//! are kept so a laggard that started a state transfer against a
+//! slightly older manifest can finish fetching it.
 //! Recovery prefers the newest cut that verifies: a corrupt newest
 //! snapshot falls back to the next older one instead of discarding
 //! snapshot state entirely.
@@ -47,7 +46,8 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::crc32::crc32;
+use gencon_crypto::crc32::crc32;
+
 use crate::{Log, Slot, Snapshot, SnapshotMeta};
 
 const SEGMENT_MAGIC: &[u8; 4] = b"GCWS";
@@ -176,7 +176,7 @@ impl FileWal {
                 .strip_prefix("snapshot-")
                 .and_then(|rest| rest.strip_suffix(".bin"))
                 .is_some_and(|num| num.parse::<Slot>().is_ok());
-            if retained_cut || name == "snapshot.bin" {
+            if retained_cut {
                 candidates.push(entry.path());
             }
         }
@@ -199,8 +199,6 @@ impl FileWal {
             }
         }
         snapshots.sort_by_key(|(m, _)| m.upto_slot);
-        // The same cut under both layouts (legacy + numbered) is one cut.
-        snapshots.dedup_by_key(|(m, _)| m.upto_slot);
         let replay_from = recovery.snapshot.as_ref().map_or(0, |s| s.meta.upto_slot);
 
         // --- segments, in slot order ---
@@ -574,16 +572,10 @@ impl Log for FileWal {
         self.snapshots.retain(|(m, _)| m.upto_slot != upto);
         self.snapshots.push((snap.meta, path));
         self.snapshots.sort_by_key(|(m, _)| m.upto_slot);
-        // Prune: the oldest cuts fall off past the retention bound, and a
-        // legacy-layout `snapshot.bin` not serving as a retained cut goes
-        // with them.
+        // Prune: the oldest cuts fall off past the retention bound.
         while self.snapshots.len() > self.cfg.snapshot_keep.max(1) {
             let (_, old) = self.snapshots.remove(0);
             fs::remove_file(&old).ok();
-        }
-        let legacy = self.dir.join("snapshot.bin");
-        if self.snapshots.iter().all(|(_, p)| *p != legacy) {
-            fs::remove_file(&legacy).ok();
         }
 
         // Compact: closed segments entirely below the snapshot disappear.
@@ -807,7 +799,7 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
         // A garbage snapshot file must not poison recovery.
-        fs::write(dir.join("snapshot.bin"), b"not a snapshot").unwrap();
+        fs::write(snapshot_path(&dir, 5), b"not a snapshot").unwrap();
         let (_, rec) = FileWal::open(&dir, WalConfig::default()).unwrap();
         assert!(rec.snapshot.is_none());
         assert!(rec.snapshot_corrupt);
@@ -907,32 +899,6 @@ mod tests {
         assert_eq!(snap.meta.upto_slot, 10);
         assert_eq!(snap.state, b"older");
         assert_eq!(wal.snapshot_meta().unwrap().upto_slot, 10);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_single_snapshot_layout_still_recovers() {
-        let dir = tmpdir("legacy");
-        fs::create_dir_all(&dir).unwrap();
-        let snap = Snapshot::new(30, 123, b"legacy state".to_vec());
-        write_snapshot_file(&dir.join("snapshot.bin"), &snap).unwrap();
-        let (mut wal, rec) = FileWal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(rec.snapshot.as_ref().unwrap(), &snap);
-        assert_eq!(wal.next_slot(), 30);
-        // A new cut supersedes the legacy file but keeps it as the older
-        // retained cut until pruned.
-        wal.append(30, b"tail").unwrap();
-        wal.sync().unwrap();
-        wal.install_snapshot(&Snapshot::new(31, 124, b"new state".to_vec()))
-            .unwrap();
-        assert_eq!(wal.snapshot_metas().len(), 2);
-        assert_eq!(wal.read_snapshot_at(30).unwrap().unwrap(), snap);
-        wal.install_snapshot(&Snapshot::new(32, 125, b"newer state".to_vec()))
-            .unwrap();
-        assert!(
-            !dir.join("snapshot.bin").exists(),
-            "legacy cut pruned at the retention bound"
-        );
         fs::remove_dir_all(&dir).ok();
     }
 

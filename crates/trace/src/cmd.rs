@@ -32,7 +32,7 @@ use crate::span::SlotSpan;
 /// endpoints are.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CmdSpan {
-    /// The compact command id (`gencon_load::encode_cmd` namespacing).
+    /// The compact command id (`gencon_types::encode_cmd` namespacing).
     pub cmd: u64,
     /// The consensus slot the command was decided in, when known
     /// (`CmdAcked`'s detail, falling back to `Batched`'s).
@@ -350,8 +350,12 @@ impl SlowCmdRing {
             {
                 continue; // lost the claim race; rescan
             }
-            // Inside the lock: the slot may have grown since the scan.
-            if seq != 0 && ex.e2e_us <= s.e2e_us.load(Ordering::Relaxed) {
+            // Inside the lock: another writer may have filled or replaced
+            // the victim since the scan. Per-slot values only grow, so a
+            // victim still holding the scanned value is still the
+            // minimum; anything else (even a larger value that is itself
+            // a true top-K entry) must not be overwritten.
+            if seq != 0 && (victim_empty || s.e2e_us.load(Ordering::Relaxed) != victim_e2e) {
                 s.seq.store(seq, Ordering::Release); // payload untouched
                 continue; // victim no longer the minimum; rescan
             }

@@ -273,8 +273,8 @@ struct Ring {
 /// Clones share the same ring. Capacity is rounded up to a power of
 /// two (minimum 64); once full, new events overwrite the oldest.
 /// Everything runs on `SeqCst` atomics — a recording is ~7 atomic ops,
-/// cheap enough to leave on under full load (see the overhead guard
-/// test in `gencon-load`).
+/// cheap enough to leave on under full load (`gencon-bench` reports
+/// the traced/untraced ratio as `trace.overhead`).
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Ring>,

@@ -30,9 +30,9 @@ impl<T> Value for T where T: Clone + Eq + Ord + Hash + Debug + Send + 'static {}
 /// The per-command trace (`gencon-trace`'s `Submitted`…`CmdAcked`
 /// events) keys every stamp by a `u64` so the hot path never hashes or
 /// serialises the command itself. Client-side id construction
-/// (`gencon_load::encode_cmd`) already packs `(replica, client, seq)`
-/// into a unique `u64`; command types simply expose it here. For plain
-/// `u64` commands the command *is* its own key.
+/// ([`encode_cmd`]) already packs `(namespace, client, seq)` into a
+/// unique `u64`; command types simply expose it here. For plain `u64`
+/// commands the command *is* its own key.
 pub trait CmdKey {
     /// The compact id trace events are keyed by.
     fn cmd_key(&self) -> u64;
@@ -44,9 +44,35 @@ impl CmdKey for u64 {
     }
 }
 
+/// Encodes a command id: 16 bits namespace (one per client process, so
+/// concurrent clients never collide), 16 bits client, 32 bits sequence.
+#[must_use]
+pub fn encode_cmd(namespace: u16, client: u16, seq: u32) -> u64 {
+    (u64::from(namespace) << 48) | (u64::from(client) << 32) | u64::from(seq)
+}
+
+/// Decodes a command id into `(namespace, client, seq)`.
+#[must_use]
+pub fn decode_cmd(cmd: u64) -> (u16, u16, u32) {
+    ((cmd >> 48) as u16, (cmd >> 32) as u16, cmd as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cmd_encoding_round_trips() {
+        for (ns, c, s) in [
+            (0u16, 0u16, 0u32),
+            (3, 17, 999_999),
+            (u16::MAX, u16::MAX, u32::MAX),
+        ] {
+            assert_eq!(decode_cmd(encode_cmd(ns, c, s)), (ns, c, s));
+        }
+        // Distinct namespaces never collide even at equal (client, seq).
+        assert_ne!(encode_cmd(0, 1, 2), encode_cmd(1, 1, 2));
+    }
 
     fn takes_value<V: Value>(v: V) -> V {
         v

@@ -52,7 +52,6 @@ pub use gencon_algos as algos;
 pub use gencon_app as app;
 pub use gencon_core as core;
 pub use gencon_crypto as crypto;
-pub use gencon_load as load;
 pub use gencon_metrics as metrics;
 pub use gencon_net as net;
 pub use gencon_pcons as pcons;
