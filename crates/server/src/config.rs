@@ -12,7 +12,10 @@ pub struct ServerConfig {
     /// Ceiling of the adaptive deadline: the longest a round waits during
     /// a bad period before moving on.
     pub max_round_timeout: Duration,
-    /// Hard stop, in rounds (`u64::MAX` for a long-running service).
+    /// Hard stop, in rounds executed or fast-forwarded over (`u64::MAX`
+    /// for a long-running service). A quiescent node holds its round
+    /// number, so idle time does not consume rounds: a budget only ends a
+    /// run that keeps ordering.
     pub max_rounds: u64,
     /// Optional stop once this many commands applied locally (harness
     /// runs); `None` for a long-running service.

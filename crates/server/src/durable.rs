@@ -147,7 +147,8 @@ pub fn recover_replica<A: App>(
 const PERSIST_QUEUE_CAP: usize = 1024;
 
 /// How often the persist stage wakes to run the group-commit interval
-/// while no new records arrive.
+/// while appended records await their fsync and no new ones arrive. With
+/// nothing awaiting fsync the stage blocks on its channel instead.
 const PERSIST_POLL: Duration = Duration::from_millis(1);
 
 /// Work shipped from the order thread to the persist stage, applied in
@@ -255,7 +256,11 @@ fn persist_loop<L: Log>(
         }
     };
     loop {
-        let msg = rx.recv_timeout(PERSIST_POLL);
+        let msg = if pending.is_empty() {
+            rx.recv()
+        } else {
+            rx.recv_timeout(PERSIST_POLL)
+        };
         let mut wal = wal.lock();
         match msg {
             Ok(PersistMsg::Append {
@@ -308,7 +313,7 @@ fn persist_loop<L: Log>(
                 continue;
             }
             Err(RecvTimeoutError::Timeout) => {
-                // Idle tick: drive the group-commit interval so the
+                // Poll tick: drive the group-commit interval so the
                 // watermark advances even when commits pause.
                 let us = metered_sync(&mut wal, &|w| w.maybe_sync().map(|_| ()));
                 if us > 0 {
@@ -628,9 +633,9 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
         // The serve cache is deliberately NOT invalidated here: a laggard
         // mid-transfer keeps pulling chunks of the manifest this node
         // already described to it, even though the periodic policy has
-        // moved the on-disk snapshot past that cut (at quiescence the cut
-        // advances with every no-op window — without the cache, in-flight
-        // transfers would be stranded on stale manifests forever). The
+        // moved the on-disk snapshot past that cut (under load the cut
+        // advances every `snapshot_every` slots — without the cache,
+        // in-flight transfers would be stranded on stale manifests). The
         // cache is replaced the next time a manifest is served.
         // Compaction no longer waits for the ack watermark: the gateway
         // parks unacked `(cmd, slot, offset, reply)` tuples in its own

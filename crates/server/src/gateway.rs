@@ -77,7 +77,9 @@ type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
 pub const STAGE_QUEUE_CAP: usize = 1024;
 
 /// Ack-stage poll interval: how often the durable watermark is re-read
-/// when no messages arrive (the release latency floor under durable-ack).
+/// while acks are parked behind it and no messages arrive (the release
+/// latency floor under durable-ack). With nothing parked the stage
+/// blocks on its channel instead.
 const ACK_POLL: std::time::Duration = std::time::Duration::from_micros(500);
 
 /// Retries parked awaiting a commit that hasn't surfaced yet (bounded so
@@ -693,7 +695,12 @@ struct AckState<A: App> {
 impl<A: App> AckState<A> {
     fn run(mut self, rx: &Receiver<AckMsg<A>>) {
         loop {
-            match rx.recv_timeout(ACK_POLL) {
+            let msg = if self.pending.is_empty() {
+                rx.recv()
+            } else {
+                rx.recv_timeout(ACK_POLL)
+            };
+            match msg {
                 Ok(msg) => self.handle(msg),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {

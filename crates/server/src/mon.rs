@@ -10,7 +10,9 @@
 //! |-----------------------|------------------------------------------------|
 //! | `unreachable`         | an admin endpoint stops answering (transition) |
 //! | `commit-stall`        | no node's committed watermark advanced across  |
-//! |                       | `stall_polls` consecutive polls                |
+//! |                       | `stall_polls` consecutive polls while some     |
+//! |                       | node reports queued commands (an idle cluster  |
+//! |                       | stops committing by design)                    |
 //! | `divergence`          | two nodes published different state hashes for |
 //! |                       | the same applied count (both hashes + node ids |
 //! |                       | recorded as audit evidence)                    |
@@ -121,6 +123,8 @@ pub struct NodeSample {
     pub committed: u64,
     /// Applied-command watermark from `status`.
     pub applied: u64,
+    /// Commands queued at the replica, not yet proposed, from `status`.
+    pub queued: u64,
     /// Durable-ack gate from `status` (0 on memory nodes).
     pub persist_gate: u64,
     /// Commands applied per second from `rates` (0 until two samples).
@@ -891,6 +895,7 @@ impl Monitor {
         s.round = round;
         s.committed = json_u64(&status, "committed_slots").unwrap_or(0);
         s.applied = json_u64(&status, "applied").unwrap_or(0);
+        s.queued = json_u64(&status, "queued").unwrap_or(0);
         s.persist_gate = json_u64(&status, "persist_gate").unwrap_or(0);
         s.peer_lags = parse_peer_lags(&status);
         if let Ok(rates) = query(addr, "rates", &self.cfg) {
@@ -996,10 +1001,13 @@ impl Monitor {
             }
         }
 
-        // Commit-progress stall across the whole cluster.
+        // Commit-progress stall across the whole cluster: the watermark
+        // sits still while work waits. With nothing queued anywhere the
+        // cluster is quiescent and commits nothing, by design.
+        let queued: u64 = reachable.iter().map(|s| s.queued).sum();
         if reachable.is_empty() {
             self.stalled_polls = 0;
-        } else if self.last_max_committed == Some(max_committed) {
+        } else if self.last_max_committed == Some(max_committed) && queued > 0 {
             self.stalled_polls += 1;
             if self.cfg.stall_polls > 0 && self.stalled_polls.is_multiple_of(self.cfg.stall_polls) {
                 alerts.push(Alert {
@@ -1008,7 +1016,8 @@ impl Monitor {
                     node: None,
                     applied: None,
                     detail: format!(
-                        "no commit progress for {} polls (max committed stuck at {max_committed})",
+                        "no commit progress for {} polls (max committed stuck at \
+                         {max_committed}, {queued} commands queued)",
                         self.stalled_polls
                     ),
                 });
@@ -1305,6 +1314,7 @@ mod tests {
     fn stall_fires_after_k_static_polls() {
         let (addr, state) = fake_node(0);
         state.registry.gauge("order.committed_slots").set(400);
+        state.registry.gauge("order.queued").set(3);
         let mut mon = Monitor::new(vec![addr], quick_cfg());
         // Poll 1 records the watermark; polls 2 and 3 see it static —
         // stall_polls = 2 fires on poll 3.
@@ -1321,6 +1331,28 @@ mod tests {
         // Progress clears the stall counter.
         state.registry.gauge("order.committed_slots").set(500);
         assert!(mon.poll_once().alerts.is_empty());
+    }
+
+    /// A quiescent cluster commits nothing and has nothing queued: a
+    /// still watermark is not a stall.
+    #[test]
+    fn idle_cluster_raises_no_commit_stall() {
+        let (addr, state) = fake_node(0);
+        state.registry.gauge("order.committed_slots").set(400);
+        let mut mon = Monitor::new(vec![addr], quick_cfg());
+        for _ in 0..6 {
+            let report = mon.poll_once();
+            assert!(report.alerts.is_empty(), "{report:?}");
+        }
+        // Work arrives and the watermark stays put: now it is a stall.
+        state.registry.gauge("order.queued").set(1);
+        let stalled = (0..2)
+            .flat_map(|_| mon.poll_once().alerts)
+            .collect::<Vec<_>>();
+        assert!(
+            stalled.iter().any(|a| a.kind == AlertKind::CommitStall),
+            "{stalled:?}"
+        );
     }
 
     #[test]

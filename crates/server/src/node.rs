@@ -42,10 +42,27 @@
 //!   [`FoldedState`] — the folded application state plus replica resume
 //!   data, **not** the applied history, so transfer size is O(live app
 //!   state) with no history ceiling.
+//! * **Quiescence** — rounds are a logical clock, not a wall-clock
+//!   obligation. While the replica is [quiescent] (nothing queued, open,
+//!   lingering or claimed, no demand), no fetch is active and no buffered
+//!   frame carries work, the loop holds its round number: it blocks on
+//!   the ingest queue and polls the hook every millisecond
+//!   (`before_round` drains client submissions, `should_stop` ends the
+//!   run). A submission, or a peer frame with slots, relays or claims the
+//!   node needs, starts the round; an empty bundle only refreshes
+//!   liveness and waits in the heard set. Every round sends a bundle,
+//!   empty or not, so a peer woken by another node's frame completes the
+//!   round instead of timing out. A frame two or more rounds old (a node
+//!   restarted into an idle cluster) wakes the node for one round whose
+//!   bundle claims the last committed slot: the rejoining node learns the
+//!   log's head from it and catches up by claims or state transfer. A
+//!   node also runs one round at start-up, so its first frame announces
+//!   it.
 //! * **Hooks** — a [`NodeHook`] injects client submissions before each
 //!   round, harvests commits after it, and serves/persists snapshots; the
 //!   TCP client gateway and the durability layer are both hooks.
 //!
+//! [quiescent]: BatchingReplica::is_quiescent
 //! [`SnapshotManifest`]: gencon_net::SnapshotManifest
 //! [`ChunkRequest`]: gencon_net::SyncFrame::ChunkRequest
 //! [`FoldedState`]: gencon_net::FoldedState
@@ -78,7 +95,9 @@ use crate::deadline::AdaptiveDeadline;
 /// hooks.
 pub trait NodeHook<V: Value>: Send {
     /// Called before the round's send step — the place to drain client
-    /// submissions into the replica.
+    /// submissions into the replica. While the node is quiescent it is
+    /// also called about once per millisecond with the same `round`, so a
+    /// submission can start the next round.
     fn before_round(&mut self, round: u64, replica: &mut BatchingReplica<V>) {
         let _ = (round, replica);
     }
@@ -89,9 +108,11 @@ pub trait NodeHook<V: Value>: Send {
         let _ = (round, replica);
     }
 
-    /// Polled once per round after [`NodeHook::after_round`]; returning
-    /// `true` stops the loop. The default runs until
-    /// [`ServerConfig::max_rounds`].
+    /// Polled once per round after [`NodeHook::after_round`], and about
+    /// once per millisecond while the node is quiescent; returning `true`
+    /// stops the loop. The default runs until [`ServerConfig::max_rounds`]
+    /// — and idle time consumes no rounds, so a hook that never stops
+    /// runs an idle node forever.
     fn should_stop(&mut self, replica: &BatchingReplica<V>) -> bool {
         let _ = replica;
         false
@@ -161,7 +182,7 @@ where
     }
 }
 
-/// A hook that does nothing: the node just keeps the log turning.
+/// A hook that does nothing: the node orders what its peers relay.
 pub struct NoHook;
 
 impl<V: Value> NodeHook<V> for NoHook {}
@@ -317,6 +338,11 @@ pub const INGEST_QUEUE_CAP: usize = 4096;
 
 /// How often the ingest stage re-checks its stop flag while idle.
 const INGEST_POLL: Duration = Duration::from_millis(10);
+
+/// How often a quiescent order loop polls the hook — `before_round` to
+/// drain client submissions, `should_stop` for shutdown — while it waits
+/// for a frame that brings work.
+const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// A decoded, sender-authenticated frame handed from ingest to order.
 type IngestFrame<V> = (ProcessId, SyncFrame<SmrMsg<Batch<V>>>);
@@ -593,165 +619,198 @@ where
     let mut relayed_seen = SeenWindow::new(RELAY_SEEN_CAP);
     let mut merged_seen = SeenWindow::new(RELAY_SEEN_CAP);
 
-    let mut r: u64 = 1;
-    while r <= cfg.max_rounds {
-        // Fast-forward: the (b+1)-th largest per-sender future round is
-        // vouched for by at least one honest process.
-        let mut tops = ahead.clone();
-        tops.sort_unstable_by(|a, b| b.cmp(a));
-        if let Some(&target) = tops.get(ff_threshold - 1) {
-            if target > r {
-                stats.fast_forwards += 1;
-                meters.fast_forwards.inc();
-                r = target;
-                // Rounds below the jump are closed without executing.
-                future = future.split_off(&r);
+    // Stamps each first-seen relayed command of a peer bundle before the
+    // bundle moves into the heard set — the receive step merges fresh
+    // relays into the propose queue.
+    let mut trace_merged = |msg: &SmrMsg<Batch<V>>, sender: ProcessId| {
+        if tracer.enabled() {
+            for chunk in msg.relays() {
+                for cmd in chunk.commands() {
+                    let key = cmd.cmd_key();
+                    if merged_seen.insert(key) {
+                        tracer.rec(
+                            Stage::Order,
+                            EventKind::RelayMerged,
+                            key,
+                            sender.index() as u64,
+                        );
+                    }
+                }
             }
         }
+    };
 
+    let mut r: u64 = 1;
+    // A node runs at least one round at start-up: a restarted node's
+    // first frame is how a quiescent cluster learns it is back.
+    let mut startup = true;
+    'rounds: while r <= cfg.max_rounds {
         let round = Round::new(r);
-        let armed_deadline_us = deadline.current().as_micros() as u64;
-        tracer.rec(Stage::Order, EventKind::RoundAdvance, r, armed_deadline_us);
-        hook.before_round(r, replica);
-
-        // --- send step ---
-        // Stamps the outgoing bundle: `Proposed` once per new slot,
-        // `Batched` once per command drained into a new slot's batch
-        // (the batch-wait endpoint, detail = the proposed slot), and
-        // `Relayed` once per first-relayed command (detail = peers the
-        // chunk ships to).
-        let trace_outgoing = |m: &SmrMsg<Batch<V>>,
-                              next: &mut u64,
-                              replica: &BatchingReplica<V>,
-                              relayed_seen: &mut SeenWindow,
-                              dest_peers: u64| {
-            if tracer.enabled() {
-                for (slot, _) in m.iter() {
-                    if slot >= *next {
-                        tracer.rec(Stage::Order, EventKind::Proposed, slot, r);
-                        if let Some(cmds) = replica.proposed_batch(slot) {
-                            for cmd in cmds {
-                                tracer.rec(Stage::Order, EventKind::Batched, cmd.cmd_key(), slot);
-                            }
-                        }
-                    }
-                }
-                for chunk in m.relays() {
-                    for cmd in chunk.commands() {
-                        let key = cmd.cmd_key();
-                        if relayed_seen.insert(key) {
-                            tracer.rec(Stage::Order, EventKind::Relayed, key, dest_peers);
-                        }
-                    }
-                }
-                *next = (*next).max(max_slot_of(m) + 1);
+        let commit_point = replica.committed_slots() as u64;
+        // Frames buffered for this round open its heard set.
+        let mut heard: HeardOf<SmrMsg<Batch<V>>> = HeardOf::empty(n);
+        if let Some(buffered) = future.remove(&r) {
+            for (sender, msg) in buffered {
+                trace_merged(&msg, sender);
+                heard.put(sender, msg);
             }
-        };
-        let mut loopback: Option<SmrMsg<Batch<V>>> = None;
-        match replica.send(round) {
-            Outgoing::Silent => {}
-            Outgoing::Broadcast(m) => {
+        }
+        chunk_budget.iter_mut().for_each(|b| *b = 0);
+        // Quorum telemetry: who this round heard from (first frame per
+        // sender) and the instant the TD-th concordant message landed.
+        let mut heard_from: Vec<bool> = vec![false; n];
+        let mut quorum_done = false;
+
+        // --- quiescence: hold the round while there is nothing to order ---
+        // The receive loop below then only serves transfer frames and
+        // buffers round frames, polling the hook every IDLE_POLL (client
+        // submissions, shutdown), until a submission or a frame that
+        // carries work starts the round. Idle time consumes no rounds.
+        let mut idle = !startup
+            && fetch.is_none()
+            && replica.is_quiescent()
+            && !heard
+                .iter()
+                .chain(future.values().flatten().map(|(s, m)| (*s, m)))
+                .any(|(_, m)| carries_work(m, commit_point));
+        startup = false;
+        let mut next_poll = Instant::now();
+        // Whether `before_round` already ran for this round's send step.
+        let mut polled = false;
+        // Woken by a frame from a node two or more rounds behind (a
+        // restart): this round's bundle carries a claim for our last
+        // committed slot, which tells that node where the log's head is.
+        let mut head_claim = false;
+        // (round start, collect deadline, armed deadline µs) once sent.
+        let mut clock: Option<(Instant, Instant, u64)> = None;
+        // Bounds the zero-timeout drain below so a flooding peer cannot
+        // pin the loop in one round forever.
+        let mut drain_budget = 16 * n;
+        loop {
+            if idle && Instant::now() >= next_poll {
+                hook.before_round(r, replica);
+                if stop_requested(hook, replica, cfg) {
+                    break 'rounds;
+                }
+                next_poll = Instant::now() + IDLE_POLL;
+                idle = replica.is_quiescent();
+                polled = !idle;
+            }
+            if !idle && clock.is_none() {
+                // Fast-forward: the (b+1)-th largest per-sender future
+                // round is vouched for by at least one honest process.
+                let mut tops = ahead.clone();
+                tops.sort_unstable_by(|a, b| b.cmp(a));
+                if let Some(&target) = tops.get(ff_threshold - 1) {
+                    if target > r {
+                        stats.fast_forwards += 1;
+                        meters.fast_forwards.inc();
+                        r = target;
+                        // Rounds below the jump are closed without executing.
+                        future = future.split_off(&r);
+                        continue 'rounds;
+                    }
+                }
+
+                let armed_deadline_us = deadline.current().as_micros() as u64;
+                tracer.rec(Stage::Order, EventKind::RoundAdvance, r, armed_deadline_us);
+                if !polled {
+                    hook.before_round(r, replica);
+                }
+
+                // --- send step ---
+                let mut bundle = match replica.send(round) {
+                    Outgoing::Broadcast(m) => m,
+                    // An empty bundle still goes out: a peer woken by
+                    // another node's frame completes the round on it
+                    // instead of waiting out its deadline.
+                    Outgoing::Silent => SmrMsg::new(),
+                    Outgoing::Multicast { .. } | Outgoing::PerDest(_) => {
+                        unreachable!("a batching replica only broadcasts")
+                    }
+                };
+                if head_claim {
+                    let committed = replica.committed_slots() as u64;
+                    if let (Some(head), Some(batch)) =
+                        (committed.checked_sub(1), replica.committed_batches().last())
+                    {
+                        bundle.push_claim(head, batch.clone());
+                    }
+                }
                 let frame = SyncFrame::Round(Envelope {
                     sender: me,
                     round,
-                    msg: m.clone(),
+                    msg: bundle.clone(),
                 })
                 .to_bytes();
                 for d in (0..n).map(ProcessId::new).filter(|&d| d != me) {
                     transport.send(d, frame.clone());
                 }
-                trace_outgoing(
-                    &m,
-                    &mut proposed_next,
-                    replica,
-                    &mut relayed_seen,
-                    n as u64 - 1,
-                );
-                loopback = Some(m);
-            }
-            Outgoing::Multicast { dests, msg } => {
-                let frame = SyncFrame::Round(Envelope {
-                    sender: me,
-                    round,
-                    msg: msg.clone(),
-                })
-                .to_bytes();
-                trace_outgoing(
-                    &msg,
-                    &mut proposed_next,
-                    replica,
-                    &mut relayed_seen,
-                    dests.iter().filter(|&d| d != me).count() as u64,
-                );
-                for d in dests.iter() {
-                    if d == me {
-                        loopback = Some(msg.clone());
-                    } else {
-                        transport.send(d, frame.clone());
-                    }
-                }
-            }
-            Outgoing::PerDest(_) => unreachable!("honest replicas never equivocate"),
-        }
-
-        // --- collect step ---
-        let mut heard: HeardOf<SmrMsg<Batch<V>>> = HeardOf::empty(n);
-        if let Some(m) = loopback {
-            heard.put(me, m);
-        }
-        if let Some(buffered) = future.remove(&r) {
-            for (sender, msg) in buffered {
+                // Stamps the outgoing bundle: `Proposed` once per new
+                // slot, `Batched` once per command drained into a new
+                // slot's batch (the batch-wait endpoint, detail = the
+                // proposed slot), and `Relayed` once per first-relayed
+                // command (detail = peers the chunk ships to).
                 if tracer.enabled() {
-                    for chunk in msg.relays() {
-                        for cmd in chunk.commands() {
-                            let key = cmd.cmd_key();
-                            if merged_seen.insert(key) {
-                                tracer.rec(
-                                    Stage::Order,
-                                    EventKind::RelayMerged,
-                                    key,
-                                    sender.index() as u64,
-                                );
+                    for (slot, _) in bundle.iter() {
+                        if slot >= proposed_next {
+                            tracer.rec(Stage::Order, EventKind::Proposed, slot, r);
+                            for cmd in replica.proposed_batch(slot).unwrap_or_default() {
+                                tracer.rec(Stage::Order, EventKind::Batched, cmd.cmd_key(), slot);
                             }
                         }
                     }
+                    for chunk in bundle.relays() {
+                        for cmd in chunk.commands() {
+                            let key = cmd.cmd_key();
+                            if relayed_seen.insert(key) {
+                                tracer.rec(Stage::Order, EventKind::Relayed, key, n as u64 - 1);
+                            }
+                        }
+                    }
+                    if let Some(high) = bundle.max_slot() {
+                        proposed_next = proposed_next.max(high + 1);
+                    }
                 }
-                heard.put(sender, msg);
+                heard.put(me, bundle);
+                last_heard[me.index()] = r;
+                quorum_done = heard.count() >= td;
+                if quorum_done {
+                    // Our own bundle plus frames that arrived before the
+                    // send step already held a quorum; attribute the
+                    // completion to ourselves.
+                    tracer.rec(Stage::Order, EventKind::QuorumReached, r, me.index() as u64);
+                }
+                let started = Instant::now();
+                clock = Some((started, started + deadline.current(), armed_deadline_us));
             }
-        }
-        last_heard[me.index()] = r;
-        // Quorum telemetry: who this round heard from (first frame per
-        // sender) and the instant the TD-th concordant message landed.
-        let mut heard_from: Vec<bool> = vec![false; n];
-        let mut quorum_done = heard.count() >= td;
-        if quorum_done {
-            // Loopback plus buffered frames already held a quorum at
-            // round entry; attribute the completion to ourselves.
-            tracer.rec(Stage::Order, EventKind::QuorumReached, r, me.index() as u64);
-        }
-        chunk_budget.iter_mut().for_each(|b| *b = 0);
-        let started = Instant::now();
-        let round_deadline = started + deadline.current();
-        // Bounds the zero-timeout drain below so a flooding peer cannot
-        // pin the loop in one round forever.
-        let mut drain_budget = 16 * n;
-        while heard.count() < n {
-            // Once every *live* sender was heard (or the deadline hit),
-            // stop waiting — but keep draining frames already queued with
-            // a zero timeout: a written-off sender's buffered frames are
-            // the only way it can re-enroll, so skipping the inbox
-            // entirely would leave a fast-forwarded or formerly isolated
-            // node permanently deaf.
-            let now = Instant::now();
-            let all_live_heard = heard.count() >= live_senders(&last_heard, r);
-            let wait = if all_live_heard || now >= round_deadline {
-                if drain_budget == 0 {
-                    break;
+
+            // --- collect step (or idle wait) ---
+            let (wait, drain) = match clock {
+                // Idle: sleep until the next hook poll unless a frame comes.
+                None => (next_poll.saturating_duration_since(Instant::now()), false),
+                Some((_, round_deadline, _)) => {
+                    if heard.count() >= n {
+                        break;
+                    }
+                    // Once every *live* sender was heard (or the deadline
+                    // hit), stop waiting — but keep draining frames
+                    // already queued with a zero timeout: a written-off
+                    // sender's buffered frames are the only way it can
+                    // re-enroll, so skipping the inbox entirely would
+                    // leave a fast-forwarded or formerly isolated node
+                    // permanently deaf.
+                    let now = Instant::now();
+                    if heard.count() >= live_senders(&last_heard, r) || now >= round_deadline {
+                        if drain_budget == 0 {
+                            break;
+                        }
+                        drain_budget -= 1;
+                        (Duration::ZERO, true)
+                    } else {
+                        (round_deadline - now, false)
+                    }
                 }
-                drain_budget -= 1;
-                Duration::ZERO
-            } else {
-                round_deadline - now
             };
             let got = match ingest_rx {
                 // Pipelined path: the ingest stage already decoded and
@@ -785,7 +844,7 @@ where
                 },
             };
             let Some((sender, sync)) = got else {
-                if all_live_heard || Instant::now() >= round_deadline {
+                if clock.is_some_and(|(_, dl, _)| drain || Instant::now() >= dl) {
                     break;
                 }
                 continue;
@@ -897,31 +956,27 @@ where
                     continue;
                 }
             };
-            peer_slot_high = peer_slot_high.max(max_slot_of(&env.msg));
-            peers.ahead(sender.index(), max_slot_of(&env.msg));
+            let high = env.msg.max_slot().unwrap_or(0);
+            peer_slot_high = peer_slot_high.max(high);
+            peers.ahead(sender.index(), high);
             match env.round.number().cmp(&r) {
-                std::cmp::Ordering::Less => {} // closed round: drop
-                std::cmp::Ordering::Equal => {
-                    // Stamp each first-seen relayed command before the
-                    // bundle moves into the heard set — the receive step
-                    // below merges fresh relays into the propose queue.
-                    if tracer.enabled() {
-                        for chunk in env.msg.relays() {
-                            for cmd in chunk.commands() {
-                                let key = cmd.cmd_key();
-                                if merged_seen.insert(key) {
-                                    tracer.rec(
-                                        Stage::Order,
-                                        EventKind::RelayMerged,
-                                        key,
-                                        sender.index() as u64,
-                                    );
-                                }
-                            }
-                        }
+                std::cmp::Ordering::Less => {
+                    // Closed round: drop. A frame two or more rounds old
+                    // is a node rejoining (a restart): wake for one round
+                    // and answer with the log's head. One round old is
+                    // just a slower peer finishing the round we left.
+                    if idle && env.round.number() + 1 < r {
+                        idle = false;
+                        head_claim = true;
                     }
+                }
+                std::cmp::Ordering::Equal => {
+                    trace_merged(&env.msg, sender);
+                    // An empty bundle (or claims we are past) does not
+                    // start an idle round; it waits in the heard set.
+                    idle &= !carries_work(&env.msg, commit_point);
                     heard.put(sender, env.msg);
-                    if !quorum_done && heard.count() >= td {
+                    if clock.is_some() && !quorum_done && heard.count() >= td {
                         quorum_done = true;
                         tracer.rec(
                             Stage::Order,
@@ -933,6 +988,7 @@ where
                 }
                 std::cmp::Ordering::Greater => {
                     ahead[sender.index()] = ahead[sender.index()].max(env.round.number());
+                    idle &= !carries_work(&env.msg, commit_point);
                     // Bounded buffering: a Byzantine peer cannot grow the
                     // future map without limit — frames past the horizon
                     // are dropped (the `ahead` evidence above is all the
@@ -949,6 +1005,8 @@ where
                 }
             }
         }
+        let (started, _, armed_deadline_us) =
+            clock.expect("the receive loop ends only after the send step");
         // A round is "full" when every live sender was heard — but a node
         // that only heard *itself* is isolated, not fast: it backs off
         // (otherwise an isolated node would spin rounds at the minimum
@@ -1159,32 +1217,39 @@ where
             );
         }
 
-        if hook.should_stop(replica) {
+        if stop_requested(hook, replica, cfg) {
             break;
-        }
-        if let Some(target) = cfg.stop_after_commands {
-            if replica.applied_len() >= target {
-                break;
-            }
         }
         r += 1;
     }
     stats
 }
 
+/// Whether the hook or the `stop_after_commands` budget ends the run.
+fn stop_requested<V: Value, H: NodeHook<V>>(
+    hook: &mut H,
+    replica: &BatchingReplica<V>,
+    cfg: &ServerConfig,
+) -> bool {
+    hook.should_stop(replica)
+        || cfg
+            .stop_after_commands
+            .is_some_and(|target| replica.applied_len() >= target)
+}
+
+/// Whether a peer's round bundle gives a quiescent node something to do:
+/// slots to vote on or answer with claims, relayed commands, or claims
+/// at or above our commit point. Claims below it repeat what we already
+/// committed.
+fn carries_work<V>(msg: &SmrMsg<V>, commit_point: u64) -> bool {
+    msg.slot_count() > 0
+        || !msg.relays().is_empty()
+        || msg.claims().iter().any(|(s, _)| *s >= commit_point)
+}
+
 fn decode_frame<M: Wire>(frame: &Bytes) -> Option<SyncFrame<M>> {
     let mut buf = frame.clone();
     SyncFrame::decode(&mut buf).ok()
-}
-
-/// The highest slot a round bundle references (slots, claims or the
-/// implied next slot): how far its sender's log demonstrably extends.
-fn max_slot_of<V>(msg: &SmrMsg<V>) -> u64 {
-    msg.iter()
-        .map(|(s, _)| s)
-        .chain(msg.claims().iter().map(|(s, _)| *s))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Whether `GENCON_NODE_DEBUG` asks for per-node pacing traces on stderr.
@@ -1464,6 +1529,145 @@ mod tests {
                     e.detail
                 );
             }
+        }
+    }
+
+    /// Drives [`idle_cluster_stops_executing_rounds`]: commit a block,
+    /// measure 300 ms of idle time once every node went quiescent, then
+    /// submit one more command at node 0 and serve until it commits
+    /// everywhere.
+    struct IdleProbe {
+        id: usize,
+        block: usize,
+        n: usize,
+        fed: bool,
+        late_fed: bool,
+        /// Rounds executed, counted by `after_round`.
+        rounds: u64,
+        /// 0 = block, 1 = waiting for every node to settle, 2 = idle
+        /// window, 3 = late command.
+        phase: u8,
+        idle_from: Option<(Instant, u64)>,
+        /// Rounds executed during the idle window.
+        idle_rounds: Option<u64>,
+        /// Shared counters: block applied, settled, idle window over, late
+        /// command applied.
+        marks: std::sync::Arc<[std::sync::atomic::AtomicUsize; 4]>,
+        give_up: Instant,
+    }
+
+    impl IdleProbe {
+        fn mark(&self, i: usize) {
+            self.marks[i].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn all(&self, i: usize) -> bool {
+            self.marks[i].load(std::sync::atomic::Ordering::SeqCst) >= self.n
+        }
+    }
+
+    impl NodeHook<u64> for IdleProbe {
+        fn before_round(&mut self, _round: u64, replica: &mut BatchingReplica<u64>) {
+            if !self.fed {
+                self.fed = true;
+                replica.submit_all((0..self.block as u64).map(|k| self.id as u64 * 1_000 + k));
+            }
+            if self.id == 0 && self.phase == 3 && self.all(2) && !self.late_fed {
+                self.late_fed = true;
+                replica.submit(999_999);
+            }
+        }
+
+        fn after_round(&mut self, _round: u64, _replica: &mut BatchingReplica<u64>) {
+            self.rounds += 1;
+        }
+
+        fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
+            let target = self.n * self.block;
+            match self.phase {
+                0 if replica.applied_len() >= target => {
+                    self.mark(0);
+                    self.phase = 1;
+                }
+                1 if self.all(0) && replica.is_quiescent() => {
+                    self.mark(1);
+                    self.phase = 2;
+                }
+                2 if self.all(1) => match self.idle_from {
+                    None => self.idle_from = Some((Instant::now(), self.rounds)),
+                    Some((since, at)) if since.elapsed() >= Duration::from_millis(300) => {
+                        self.idle_rounds = Some(self.rounds - at);
+                        self.mark(2);
+                        self.phase = 3;
+                    }
+                    Some(_) => {}
+                },
+                3 if replica.applied_len() > target => {
+                    self.mark(3);
+                    self.phase = 4;
+                }
+                _ => {}
+            }
+            self.all(3) || Instant::now() > self.give_up
+        }
+    }
+
+    /// Once a block commits, the idle cluster stops executing rounds:
+    /// `NodeStats.rounds` grows by at most 2 over 300 ms of idle time (it
+    /// used to grow by thousands), and a submission after the lull still
+    /// commits everywhere.
+    #[test]
+    fn idle_cluster_stops_executing_rounds() {
+        let n = 4;
+        let spec = pbft::<Batch<u64>>(n, 1).unwrap();
+        let marks = std::sync::Arc::new(Default::default());
+        let give_up = Instant::now() + Duration::from_secs(60);
+        let handles: Vec<_> = ChannelTransport::mesh(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, tr)| {
+                let replica = BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 4, 0)
+                    .unwrap()
+                    .with_window(2);
+                let hook = IdleProbe {
+                    id: i,
+                    block: 8,
+                    n,
+                    fed: false,
+                    late_fed: false,
+                    rounds: 0,
+                    phase: 0,
+                    idle_from: None,
+                    idle_rounds: None,
+                    marks: std::sync::Arc::clone(&marks),
+                    give_up,
+                };
+                std::thread::spawn(move || {
+                    let (rep, _t, stats, hook) = run_smr_node_observed(
+                        replica,
+                        tr,
+                        small_cfg(u64::MAX),
+                        hook,
+                        None,
+                        None,
+                        None,
+                    );
+                    (rep, stats, hook)
+                })
+            })
+            .collect();
+        let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(Instant::now() < give_up, "the run gave up");
+        let reference = out[0].0.applied();
+        for (rep, stats, hook) in &out {
+            assert_eq!(
+                stats.rounds, hook.rounds,
+                "one after_round per executed round"
+            );
+            let idle = hook.idle_rounds.expect("the idle window ran");
+            assert!(idle <= 2, "{idle} rounds executed over 300 ms of idle time");
+            assert_eq!(rep.applied_len(), 4 * 8 + 1, "the late command commits");
+            assert_eq!(rep.applied(), reference);
         }
     }
 

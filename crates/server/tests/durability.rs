@@ -6,8 +6,13 @@
 //! close the remaining gap via `b + 1`-vouched **chunked state
 //! transfer** over the mesh.
 //!
-//! Two more tests run a durable cluster observed on node 0 and check
-//! that the per-stage metrics and the per-slot trace spans populate.
+//! Two more tests restart a node into an **idle** cluster: the others
+//! drained their block and stopped executing rounds, and the restarted
+//! node must still catch up with no new submissions — by claims inside
+//! the claim horizon, by chunked transfer past it.
+//!
+//! Two more run a durable cluster observed on node 0 and check that the
+//! per-stage metrics and the per-slot trace spans populate.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -15,10 +20,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gencon_algos::pbft;
-use gencon_app::{Applier, Folder, LogApp};
+use gencon_app::{App as _, Applier, Folder, LogApp};
 use gencon_metrics::Registry;
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
-use gencon_net::ChannelTransport;
+use gencon_net::{ChannelTransport, Transport as _};
 use gencon_server::{
     recover_replica, run_smr_node_observed, DurableConfig, DurableNode, NodeHook, NodeStats,
     ServerConfig,
@@ -34,9 +39,10 @@ const FEED: usize = 40;
 /// Done once this many commands applied everywhere.
 const TARGET: usize = 3 * FEED; // node 3's pre-death feed may be partial
 
-/// Feeds a command block, optionally "dies" at a committed-slot count
-/// (stop regardless of progress, state dropped), and otherwise serves
-/// until every participant reported done. Runs a live `LogApp` applier —
+/// Feeds a command block, optionally trickles one fresh command per
+/// round after it, optionally "dies" at a committed-slot count (stop
+/// regardless of progress, state dropped), and otherwise serves until
+/// every participant reported done. Runs a live `LogApp` applier —
 /// the full-history app — so cross-node agreement can be asserted over
 /// the *first TARGET applied commands* even though every replica
 /// compacts that prefix out of its own memory.
@@ -44,6 +50,10 @@ struct Driver {
     id: usize,
     feed: usize,
     fed: bool,
+    /// After the block: the next fresh command to submit, once per
+    /// round, until the done-quorum is reached — load that keeps an
+    /// otherwise quiescent cluster committing (and compacting).
+    trickle: Option<u64>,
     die_at_slot: Option<u64>,
     marked: bool,
     done: Arc<AtomicUsize>,
@@ -51,17 +61,47 @@ struct Driver {
     /// Survivors publish their compaction point here so the restarting
     /// node can wait until the claim horizon has provably passed it.
     base_floor: Option<Arc<AtomicU64>>,
+    /// Counts this node in once it applied the target and went
+    /// quiescent — the restarting node waits for an idle cluster.
+    settled: Option<Arc<AtomicUsize>>,
     applier: Applier<LogApp<u64>>,
     /// Hard wall-clock stop so a wedged run fails loudly instead of
     /// hanging the suite.
     give_up: Instant,
 }
 
+impl Driver {
+    /// Node `id` feeding a block of `feed` commands, serving until the
+    /// done-quorum of all `N` nodes or `give_up`.
+    fn new(id: usize, feed: usize, done: Arc<AtomicUsize>, give_up: Instant) -> Driver {
+        Driver {
+            id,
+            feed,
+            fed: false,
+            trickle: None,
+            die_at_slot: None,
+            marked: false,
+            done,
+            quorum: N,
+            base_floor: None,
+            settled: None,
+            applier: Applier::default(),
+            give_up,
+        }
+    }
+}
+
 impl NodeHook<u64> for Driver {
     fn before_round(&mut self, _round: u64, replica: &mut BatchingReplica<u64>) {
+        let base = (self.id as u64) * 1_000_000;
         if !self.fed {
             self.fed = true;
-            replica.submit_all((0..self.feed as u64).map(|k| (self.id as u64) * 1_000_000 + k));
+            replica.submit_all((0..self.feed as u64).map(|k| base + k));
+        } else if let Some(next) = self.trickle.as_mut() {
+            if self.done.load(Ordering::SeqCst) < self.quorum {
+                replica.submit(base + *next);
+                *next += 1;
+            }
         }
     }
 
@@ -87,6 +127,11 @@ impl NodeHook<u64> for Driver {
         if !self.marked && replica.applied_len() >= TARGET {
             self.marked = true;
             self.done.fetch_add(1, Ordering::SeqCst);
+        }
+        if self.marked && replica.is_quiescent() {
+            if let Some(settled) = self.settled.take() {
+                settled.fetch_add(1, Ordering::SeqCst);
+            }
         }
         self.done.load(Ordering::SeqCst) >= self.quorum || Instant::now() > self.give_up
     }
@@ -124,10 +169,10 @@ fn durable_cfg() -> DurableConfig {
 
 fn server_cfg() -> ServerConfig {
     // Termination comes from the done-quorum (plus the drivers'
-    // wall-clock give-up), NOT from a round budget: idle Channel rounds
-    // are sub-millisecond, so any fixed round count lets the survivors
-    // spin out and exit while a heavily-scheduled restarted node is
-    // still mid-transfer (a real flake under parallel test load).
+    // wall-clock give-up), NOT from a round budget: a round budget
+    // counts rounds, not progress, so a busy survivor can spend it and
+    // exit while a heavily-scheduled restarted node is still
+    // mid-transfer, and an idle one never spends it at all.
     ServerConfig {
         initial_round_timeout: Duration::from_millis(20),
         min_round_timeout: Duration::from_millis(1),
@@ -157,24 +202,6 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
             .with_dedup_horizon(256)
     };
     let give_up = Instant::now() + Duration::from_secs(180);
-    let make_driver = move |i: usize,
-                            feed: usize,
-                            fed: bool,
-                            die_at_slot: Option<u64>,
-                            done: Arc<AtomicUsize>,
-                            base_floor: Option<Arc<AtomicU64>>,
-                            applier: Applier<LogApp<u64>>| Driver {
-        id: i,
-        feed,
-        fed,
-        die_at_slot,
-        marked: false,
-        done,
-        quorum: N,
-        base_floor,
-        applier,
-        give_up,
-    };
 
     let mut handles = Vec::new();
     for (i, tr) in mesh.into_iter().enumerate() {
@@ -191,15 +218,10 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     wal,
                     durable_cfg(),
                     Folder::<LogApp<u64>>::default(),
-                    make_driver(
-                        i,
-                        FEED,
-                        false,
-                        Some(6),
-                        Arc::clone(&done),
-                        None,
-                        Applier::default(),
-                    ),
+                    Driver {
+                        die_at_slot: Some(6),
+                        ..Driver::new(i, FEED, Arc::clone(&done), give_up)
+                    },
                 );
                 let (dead, transport, _stats, _hook) =
                     run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
@@ -242,7 +264,10 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     wal,
                     durable_cfg(),
                     folder,
-                    make_driver(i, 0, true, None, done, None, applier),
+                    Driver {
+                        applier,
+                        ..Driver::new(i, 0, done, give_up)
+                    },
                 );
                 let (replica, _t, stats, hook) =
                     run_smr_node_observed(fresh, transport, server_cfg(), hook, None, None, None);
@@ -251,20 +276,19 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
             } else {
                 // Survivors: durable semantics over MemStore (snapshot +
                 // compaction without the disk, which is node 3's job).
+                // After their block they trickle fresh commands: an idle
+                // cluster stops executing rounds, and only commits move
+                // the snapshot cut past the dead node.
                 let replica = make_replica(i, params);
                 let hook = DurableNode::new(
                     MemStore::new(),
                     durable_cfg(),
                     Folder::<LogApp<u64>>::default(),
-                    make_driver(
-                        i,
-                        FEED,
-                        false,
-                        None,
-                        done,
-                        Some(Arc::clone(&bases[i])),
-                        Applier::default(),
-                    ),
+                    Driver {
+                        trickle: Some(FEED as u64),
+                        base_floor: Some(Arc::clone(&bases[i])),
+                        ..Driver::new(i, FEED, done, give_up)
+                    },
                 );
                 let (replica, _t, stats, hook) =
                     run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
@@ -333,6 +357,209 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
     std::fs::remove_dir_all(&data_dir).ok();
 }
 
+/// What node 3 saw when it restarted into an idle cluster.
+struct Rejoin {
+    stats: NodeStats,
+    recovered_slots: u64,
+    /// The survivors' compaction points at the end of the run.
+    survivor_bases: Vec<u64>,
+}
+
+/// Four nodes commit a block of exactly `TARGET` commands — the
+/// survivors' — while node 3 dies after 6 slots; the survivors drain the
+/// block and go quiescent. Node 3 then restarts from its data dir and,
+/// with nothing new submitted anywhere, must reach the survivors'
+/// applied count and state hash. With `compacting`, the survivors are
+/// durable nodes snapshotting under that policy (so they can serve state
+/// transfer); without it they keep their whole log and serve nothing, so
+/// decision claims are the only way back.
+fn restart_into_idle_cluster(tag: &str, compacting: Option<DurableConfig>) -> Rejoin {
+    let spec = pbft::<Batch<u64>>(N, 1).unwrap();
+    let done = Arc::new(AtomicUsize::new(0));
+    let settled = Arc::new(AtomicUsize::new(0));
+    let data_dir = tmpdir(tag);
+    let give_up = Instant::now() + Duration::from_secs(120);
+    let node3_cfg = compacting.unwrap_or(DurableConfig {
+        snapshot_every: 0,
+        ..durable_cfg()
+    });
+    let make_replica = |i: usize, params: gencon_core::Params<Batch<u64>>| {
+        BatchingReplica::new(ProcessId::new(i), params, 4, usize::MAX)
+            .unwrap()
+            .with_window(4)
+            .with_dedup_horizon(256)
+    };
+
+    type Out = (BatchingReplica<u64>, NodeStats, [u8; 32], u64);
+    let mut handles = Vec::new();
+    for (i, tr) in ChannelTransport::mesh(N).into_iter().enumerate() {
+        let params = spec.params.clone();
+        let done = Arc::clone(&done);
+        let settled = Arc::clone(&settled);
+        let data_dir = data_dir.clone();
+        handles.push(std::thread::spawn(move || -> Out {
+            if i < 3 {
+                let driver = Driver {
+                    settled: Some(settled),
+                    ..Driver::new(i, FEED, done, give_up)
+                };
+                let replica = make_replica(i, params);
+                return match compacting {
+                    Some(cfg) => {
+                        let hook = DurableNode::new(
+                            MemStore::new(),
+                            cfg,
+                            Folder::<LogApp<u64>>::default(),
+                            driver,
+                        );
+                        let (replica, _t, stats, hook) = run_smr_node_observed(
+                            replica,
+                            tr,
+                            server_cfg(),
+                            hook,
+                            None,
+                            None,
+                            None,
+                        );
+                        let hash = hook.inner().applier.app().state_hash();
+                        (replica, stats, hash, 0)
+                    }
+                    None => {
+                        let (replica, _t, stats, driver) = run_smr_node_observed(
+                            replica,
+                            tr,
+                            server_cfg(),
+                            driver,
+                            None,
+                            None,
+                            None,
+                        );
+                        let hash = driver.applier.app().state_hash();
+                        (replica, stats, hash, 0)
+                    }
+                };
+            }
+            // --- node 3, phase 1: feeds nothing, dies after 6 slots ---
+            let (wal, _) = FileWal::open(&data_dir, WalConfig::default()).expect("open wal");
+            let hook = DurableNode::new(
+                wal,
+                node3_cfg,
+                Folder::<LogApp<u64>>::default(),
+                Driver {
+                    die_at_slot: Some(6),
+                    ..Driver::new(i, 0, Arc::clone(&done), give_up)
+                },
+            );
+            let (dead, mut transport, _stats, _hook) = run_smr_node_observed(
+                make_replica(i, params.clone()),
+                tr,
+                server_cfg(),
+                hook,
+                None,
+                None,
+                None,
+            );
+            drop(dead);
+
+            // The survivors drain the block and stop executing rounds.
+            while settled.load(Ordering::SeqCst) < 3 {
+                assert!(
+                    Instant::now() < give_up,
+                    "the survivors never went quiescent"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(100));
+            // A killed process loses its socket buffers: drop the frames
+            // the survivors sent while it was down, so the restarted node
+            // starts knowing nothing of where the cluster is.
+            while transport.recv_timeout(Duration::ZERO).is_some() {}
+
+            // --- phase 2: restart from the data dir into the lull ---
+            let (wal, recovery) =
+                FileWal::open(&data_dir, WalConfig::default()).expect("reopen wal");
+            let mut fresh = make_replica(i, params);
+            let mut folder = Folder::<LogApp<u64>>::default();
+            recover_replica(&mut fresh, &mut folder, &recovery);
+            let recovered_slots = fresh.committed_slots() as u64;
+            let applier = Applier::resume(folder.app().clone(), folder.applied_len());
+            let hook = DurableNode::new(
+                wal,
+                node3_cfg,
+                folder,
+                Driver {
+                    applier,
+                    ..Driver::new(i, 0, done, give_up)
+                },
+            );
+            let (replica, _t, stats, hook) =
+                run_smr_node_observed(fresh, transport, server_cfg(), hook, None, None, None);
+            let hash = hook.inner().applier.app().state_hash();
+            (replica, stats, hash, recovered_slots)
+        }));
+    }
+    let results: Vec<Out> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    std::fs::remove_dir_all(&data_dir).ok();
+
+    let (restarted, stats, hash3, recovered_slots) = &results[3];
+    assert!(Instant::now() < give_up, "the run gave up");
+    for (i, (rep, _, hash, _)) in results[..3].iter().enumerate() {
+        assert_eq!(rep.applied_len(), TARGET, "survivor {i} applied the block");
+        assert!(
+            rep.committed_slots() as u64 > *recovered_slots,
+            "node 3 restarted with a real gap"
+        );
+        assert_eq!(
+            restarted.applied_len(),
+            rep.applied_len(),
+            "the restarted node reaches survivor {i}'s applied count"
+        );
+        assert_eq!(hash, hash3, "state hash of node 3 and survivor {i} differ");
+    }
+    Rejoin {
+        stats: *stats,
+        recovered_slots: *recovered_slots,
+        survivor_bases: results[..3]
+            .iter()
+            .map(|(rep, ..)| rep.committed_base_slot())
+            .collect(),
+    }
+}
+
+/// A gap inside the claim horizon: the survivors keep their whole log
+/// and serve no snapshots, so node 3 closes it with decision claims.
+#[test]
+fn node_restarted_into_idle_cluster_catches_up_by_claims() {
+    let rejoin = restart_into_idle_cluster("idle-claims", None);
+    assert!(rejoin.survivor_bases.iter().all(|&b| b == 0));
+    assert_eq!(rejoin.stats.snapshots_installed, 0);
+}
+
+/// A gap past the claim horizon: the survivors compacted beyond node 3's
+/// recovered prefix, so it needs chunked state transfer first.
+#[test]
+fn node_restarted_into_idle_cluster_catches_up_by_chunked_transfer() {
+    let rejoin = restart_into_idle_cluster(
+        "idle-transfer",
+        Some(DurableConfig {
+            snapshot_every: 8,
+            snapshot_tail: 4,
+            durable_ack: true,
+        }),
+    );
+    assert!(
+        rejoin
+            .survivor_bases
+            .iter()
+            .all(|&b| b > rejoin.recovered_slots),
+        "survivors {:?} must compact past the recovered prefix {}",
+        rejoin.survivor_bases,
+        rejoin.recovered_slots
+    );
+    assert!(rejoin.stats.snapshots_installed >= 1);
+    assert!(rejoin.stats.chunks_fetched >= 1);
+}
+
 /// Runs a durable cluster to `TARGET` with `registry` and `recorder`
 /// (when given) attached to node 0's pipeline stages and node loop.
 fn run_observed_cluster(tag: &str, registry: Option<&Registry>, recorder: Option<&FlightRecorder>) {
@@ -356,18 +583,7 @@ fn run_observed_cluster(tag: &str, registry: Option<&Registry>, recorder: Option
                 .unwrap()
                 .with_window(4);
             let (wal, _) = FileWal::open(&dir, WalConfig::default()).expect("open wal");
-            let driver = Driver {
-                id: i,
-                feed: FEED,
-                fed: false,
-                die_at_slot: None,
-                marked: false,
-                done,
-                quorum: N,
-                base_floor: None,
-                applier: Applier::default(),
-                give_up,
-            };
+            let driver = Driver::new(i, FEED, done, give_up);
             let mut hook =
                 DurableNode::new(wal, durable_cfg(), Folder::<LogApp<u64>>::default(), driver);
             if let Some(r) = &reg {

@@ -94,6 +94,13 @@ pub struct BatchingReplica<V: Value> {
     /// original commit may be applied again (at-most-once within the
     /// horizon — the standard session-expiry tradeoff).
     dedup_horizon: u64,
+    /// Whether a bundle heard in the last round relayed a command that is
+    /// still unapplied (this replica's own loopback bundle included).
+    relay_demand: bool,
+    /// One past the highest slot any heard bundle referenced: while it is
+    /// above the next slot to open, a peer works a slot this replica has
+    /// not opened yet (or a restarted replica learned the cluster's head).
+    heard_next: crate::Slot,
 }
 
 /// Default [`BatchingReplica::with_dedup_horizon`]: far beyond any client
@@ -118,10 +125,12 @@ impl<V: Value> BatchingReplica<V> {
         batch_cap: usize,
         commit_target: usize,
     ) -> Result<Self, ParamsError> {
-        // The inner commit target is unbounded: slots keep turning (proposing
-        // the empty no-op batch when the queue is dry) until *this* replica's
-        // command-counted target fires.
-        let inner = Replica::new(id, params, Vec::new(), Batch::empty(), usize::MAX)?;
+        // The inner commit target is unbounded: demand, not a slot count,
+        // opens slots (a slot that opens with a dry queue proposes the
+        // empty batch), and *this* replica's command-counted target fires
+        // the output. A fresh replica has no demand.
+        let mut inner = Replica::new(id, params, Vec::new(), Batch::empty(), usize::MAX)?;
+        inner.demand = Some(false);
         Ok(BatchingReplica {
             inner,
             cap: batch_cap.max(1),
@@ -137,6 +146,8 @@ impl<V: Value> BatchingReplica<V> {
             applied_set: std::collections::HashSet::new(),
             dedup_window: std::collections::VecDeque::new(),
             dedup_horizon: DEFAULT_DEDUP_HORIZON,
+            relay_demand: false,
+            heard_next: 0,
         })
     }
 
@@ -289,6 +300,26 @@ impl<V: Value> BatchingReplica<V> {
     #[must_use]
     pub fn td(&self) -> usize {
         self.inner.td()
+    }
+
+    /// Whether the next round would open a slot: a bundle heard in the
+    /// last round relayed an unapplied command, or some bundle referenced
+    /// a slot at or above the next one to open.
+    fn has_demand(&self) -> bool {
+        self.relay_demand || self.heard_next > self.inner.next_slot
+    }
+
+    /// Whether this replica has nothing to order: no open, lingering or
+    /// decided-uncommitted slot, no claim to send, nothing queued or
+    /// proposed, and no demand. A quiescent replica's next round would
+    /// send an empty bundle and change nothing, so a driver may stop
+    /// running rounds until a submission or a peer's bundle brings work.
+    #[must_use]
+    pub fn is_quiescent(&self) -> bool {
+        self.queue.is_empty()
+            && self.proposed.is_empty()
+            && !self.has_demand()
+            && self.inner.is_settled()
     }
 
     /// Flattens any newly committed batches into the applied log, stamping
@@ -543,6 +574,7 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
         let offered = built.len();
         let first_new = self.inner.next_slot;
         self.inner.pending = built;
+        self.inner.demand = Some(self.has_demand());
         let mut out = self.inner.send(r);
         // Slots opened this round consumed chunks front-first; rebuild the
         // consumed prefix from the queue for the lost-command re-queue map,
@@ -605,10 +637,23 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
                     }
                 }
             }
+            if let Some(high) = bundle.max_slot() {
+                // Peer input: a lying slot number must not overflow.
+                self.heard_next = self.heard_next.max(high.saturating_add(1));
+            }
         }
         self.submit_all(relayed);
         self.inner.receive(r, heard);
         self.flatten(r);
+        // Demand for the next round, judged against the applied set after
+        // this round's commits — a command that just applied needs no slot.
+        let applied_set = &self.applied_set;
+        self.relay_demand = heard.iter().any(|(_, bundle)| {
+            bundle
+                .relays()
+                .iter()
+                .any(|batch| batch.commands().iter().any(|c| !applied_set.contains(c)))
+        });
     }
 
     fn output(&self) -> Option<Vec<V>> {
@@ -739,13 +784,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_queues_commit_noop_batches_without_commands() {
+    fn empty_queues_open_no_slots() {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
         let out = run_batched(&spec, vec![vec![]; 3], 4, 0, 20);
-        // Target 0 commands: output fires immediately with the empty log,
-        // while no-op slots keep the sequence turning underneath.
+        // Target 0 commands: output fires immediately with the empty log.
         assert!(out.all_correct_decided);
         assert_eq!(out.outputs[0].as_ref().unwrap(), &Vec::<u64>::new());
+        // With nothing queued there is no demand: no slot ever opens.
+        let mut r = BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 4, 0).unwrap();
+        for round in 1..=10 {
+            assert!(matches!(r.send(Round::new(round)), Outgoing::Silent));
+            r.receive(Round::new(round), &HeardOf::empty(3));
+            assert!(r.is_quiescent());
+        }
+        assert_eq!(r.committed_slots(), 0);
     }
 
     #[test]
@@ -758,14 +810,153 @@ mod tests {
             builder = builder.honest(r);
         }
         let mut sim = builder.build().unwrap();
-        // Nothing queued: the first slots are no-ops. (We can't reach inside
-        // the sim to submit later — that's the `gencon-sim` injection
-        // hook's job.) Here just check no-op slots don't count
-        // toward the command target.
+        // Nothing queued, so no slot opens. (We can't reach inside the
+        // sim to submit later — that's the `gencon-sim` injection hook's
+        // job, see `quiescent_cluster_wakes_on_one_submission`.) Here just
+        // check that idle rounds don't count toward the command target.
         for _ in 0..6 {
             sim.step();
         }
         assert!(!sim.all_correct_decided(), "no commands, target 2 unmet");
+    }
+
+    /// One replica's view of one lock-step round.
+    #[derive(Clone, Copy)]
+    struct Mark {
+        /// The next slot to open, after the send step.
+        next_slot: crate::Slot,
+        /// After the receive step.
+        quiescent: bool,
+        applied: usize,
+    }
+
+    /// A replica that logs a [`Mark`] per round and submits `late.1`
+    /// before its send step in round `late.0`.
+    struct Probe {
+        rep: BatchingReplica<u64>,
+        late: Option<(u64, u64)>,
+        marks: std::sync::Arc<std::sync::Mutex<Vec<Mark>>>,
+    }
+
+    impl RoundProcess for Probe {
+        type Msg = SmrMsg<Batch<u64>>;
+        type Output = Vec<u64>;
+
+        fn id(&self) -> ProcessId {
+            self.rep.id()
+        }
+
+        fn requirement(&self, r: Round) -> Predicate {
+            self.rep.requirement(r)
+        }
+
+        fn send(&mut self, r: Round) -> Outgoing<Self::Msg> {
+            if let Some((at, cmd)) = self.late {
+                if at == r.number() {
+                    self.rep.submit(cmd);
+                }
+            }
+            let out = self.rep.send(r);
+            self.marks.lock().unwrap().push(Mark {
+                next_slot: self.rep.inner.next_slot,
+                quiescent: false,
+                applied: 0,
+            });
+            out
+        }
+
+        fn receive(&mut self, r: Round, heard: &HeardOf<Self::Msg>) {
+            self.rep.receive(r, heard);
+            let mut marks = self.marks.lock().unwrap();
+            let mark = marks.last_mut().expect("send logged this round");
+            mark.quiescent = self.rep.is_quiescent();
+            mark.applied = self.rep.applied_len();
+        }
+
+        fn output(&self) -> Option<Vec<u64>> {
+            self.rep.output()
+        }
+    }
+
+    /// Quiescence is symmetric in lock step: four replicas that drain a
+    /// block all turn quiescent in the same round, within window + linger
+    /// rounds of the drain, and open nothing while idle; one later
+    /// submission at a single replica opens the next slot on all four in
+    /// the same round, and it commits.
+    #[test]
+    fn quiescent_cluster_wakes_on_one_submission() {
+        const WINDOW: usize = 2;
+        const LINGER: usize = 6;
+        const BLOCK: usize = 16;
+        const LATE_AT: u64 = 60;
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        let logs: Vec<std::sync::Arc<std::sync::Mutex<Vec<Mark>>>> =
+            (0..4).map(|_| std::sync::Arc::default()).collect();
+        let mut builder = Simulation::builder(spec.params.cfg);
+        for (i, log) in logs.iter().enumerate() {
+            let mut rep =
+                BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 4, BLOCK + 1)
+                    .unwrap()
+                    .with_window(WINDOW);
+            rep.submit_all((0..4).map(|k| i as u64 * 100 + k));
+            builder = builder.honest(Probe {
+                rep,
+                late: (i == 2).then_some((LATE_AT, 999)),
+                marks: std::sync::Arc::clone(log),
+            });
+        }
+        let mut sim = builder.build().unwrap();
+        for _ in 0..LATE_AT + 20 {
+            sim.step();
+        }
+        assert!(sim.all_correct_decided(), "the late command commits");
+        // marks[i][k] is replica i in round k + 1.
+        let marks: Vec<Vec<Mark>> = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+        let drained = (0..marks[0].len())
+            .find(|&k| marks.iter().all(|m| m[k].applied >= BLOCK))
+            .expect("the block drains");
+        let quiet: Vec<usize> = marks
+            .iter()
+            .map(|m| m.iter().position(|x| x.quiescent).expect("turns quiescent"))
+            .collect();
+        assert!(
+            quiet.iter().all(|&q| q == quiet[0]),
+            "quiescent in different rounds: {quiet:?}"
+        );
+        let q = quiet[0];
+        assert!(
+            q <= drained + WINDOW + LINGER,
+            "quiescent {} rounds after the drain",
+            q - drained
+        );
+        let late = LATE_AT as usize - 1;
+        for m in &marks {
+            for x in &m[q..late] {
+                assert!(x.quiescent, "woke without a submission");
+                assert_eq!(x.next_slot, m[q].next_slot, "opened a slot while idle");
+            }
+        }
+        // The submission relays in round LATE_AT; every replica hears it
+        // and opens the next slot in round LATE_AT + 1.
+        for m in &marks {
+            assert!(!m[late].quiescent);
+            assert_eq!(m[late].next_slot, m[q].next_slot);
+            assert!(m[late + 1].next_slot > m[q].next_slot);
+        }
+    }
+
+    /// A peer bundle naming slot `u64::MAX` (a lying peer) raises demand
+    /// without overflowing the slot arithmetic.
+    #[test]
+    fn huge_peer_slot_raises_demand_without_overflow() {
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        let mut r = BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 4, 1).unwrap();
+        let mut bundle = SmrMsg::new();
+        bundle.push_claim(u64::MAX, Batch::new(vec![1]));
+        let mut heard = HeardOf::empty(4);
+        heard.put(ProcessId::new(1), bundle);
+        r.receive(Round::new(1), &heard);
+        assert!(!r.is_quiescent());
     }
 
     #[test]

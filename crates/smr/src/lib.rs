@@ -24,10 +24,20 @@
 //! **flattened** into the applied log in batch order, and the replica's
 //! output is the flattened command log. Per-slot Agreement is untouched — a
 //! batch is just a value — so honest replicas still apply identical command
-//! sequences; throughput per round scales with the batch size. The empty
-//! batch is the no-op filler; it sorts *last*, so a slot never commits a
-//! no-op while any replica proposed real commands, and commands whose batch
-//! lost its slot are re-queued for a later one.
+//! sequences; throughput per round scales with the batch size. A slot that
+//! opens with a dry queue proposes the empty batch; it sorts *last*, so a
+//! slot never commits it while any replica proposed real commands, and
+//! commands whose batch lost its slot are re-queued for a later one.
+//!
+//! # Quiescence
+//!
+//! Rounds are a logical clock: a [`BatchingReplica`] opens slots only on
+//! **demand** — when a bundle it heard relays a command not yet applied,
+//! or references a slot it has not opened yet. Every replica hears the
+//! same bundles in a good round and shares the applied set, so all of them
+//! still open the same slot in the same round. With nothing to order the
+//! replica turns [`BatchingReplica::is_quiescent`], and a driver may stop
+//! executing rounds until a submission or a peer's frame brings work.
 //!
 //! # Example
 //!
@@ -165,6 +175,17 @@ impl<V> SmrMsg<V> {
     pub fn relays(&self) -> &[V] {
         &self.relays
     }
+
+    /// The highest slot the bundle references (slot payloads or claims):
+    /// how far its sender's log demonstrably extends.
+    #[must_use]
+    pub fn max_slot(&self) -> Option<Slot> {
+        self.slots
+            .iter()
+            .map(|(s, _)| *s)
+            .chain(self.claims.iter().map(|(s, _)| *s))
+            .max()
+    }
 }
 
 impl<V> FromIterator<(Slot, ConsensusMsg<V>)> for SmrMsg<V> {
@@ -226,6 +247,10 @@ pub struct Replica<V: Value> {
     window: usize,
     /// Replica reports `output()` once this many commands committed.
     commit_target: usize,
+    /// The slot-opening gate: `None` keeps the window full (empty queues
+    /// propose the no-op), `Some(d)` opens new slots only while `d` holds
+    /// — the batching replica's demand, set before each send.
+    demand: Option<bool>,
 }
 
 impl<V: Value> Replica<V> {
@@ -234,8 +259,9 @@ impl<V: Value> Replica<V> {
     /// * `params` — the per-instance consensus parameterization (e.g. from
     ///   `gencon_algos::pbft`);
     /// * `pending` — locally queued client commands, proposed in order;
-    /// * `noop` — proposed when the queue is empty (slots must still fill:
-    ///   consensus decides *some* command per slot);
+    /// * `noop` — proposed by a slot that opens while the queue is empty
+    ///   (consensus decides *some* command per slot; this replica keeps its
+    ///   window full until `commit_target` slots are taken);
     /// * `commit_target` — how many committed commands constitute "done"
     ///   for [`RoundProcess::output`] (executors use it as a stop signal).
     ///
@@ -269,6 +295,7 @@ impl<V: Value> Replica<V> {
             next_slot: 0,
             window: 1,
             commit_target,
+            demand: None,
         })
     }
 
@@ -359,10 +386,23 @@ impl<V: Value> Replica<V> {
         self.pending.push(command);
     }
 
-    /// Opens new slots up to the window limit. Slot openings are a pure
-    /// function of (committed count, open count, round), identical on every
-    /// honest replica.
+    /// Whether no slot is open, lingering or decided-uncommitted and no
+    /// claim waits to be sent: the consensus side has nothing left to do.
+    fn is_settled(&self) -> bool {
+        self.open.is_empty()
+            && self.lingering.is_empty()
+            && self.decided.is_empty()
+            && self.claim_queue.is_empty()
+    }
+
+    /// Opens new slots up to the window limit while the demand gate is
+    /// open. Slot openings are a pure function of (committed count, open
+    /// count, demand, round); demand comes from the round's heard bundles,
+    /// so in a good round it is identical on every honest replica.
     fn refill_window(&mut self, now: Round) {
+        if self.demand == Some(false) {
+            return;
+        }
         while self.open.len() < self.window
             && (self.committed_len() + self.decided.len() + self.open.len())
                 < self.commit_target.max(self.committed_len() + 1)
