@@ -115,12 +115,6 @@ impl Wire for BankCmd {
     }
 }
 
-impl gencon_types::CmdKey for BankCmd {
-    fn cmd_key(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Wire for BankReply {
     fn encode(&self, buf: &mut BytesMut) {
         match self {

@@ -134,12 +134,6 @@ impl Wire for KvCmd {
     }
 }
 
-impl gencon_types::CmdKey for KvCmd {
-    fn cmd_key(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Wire for KvReply {
     fn encode(&self, buf: &mut BytesMut) {
         match self {

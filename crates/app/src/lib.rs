@@ -54,7 +54,7 @@ pub use kv::{KvApp, KvCmd, KvOp, KvReply};
 pub use log::LogApp;
 
 use gencon_net::wire::{Wire, WireError};
-use gencon_types::{CmdKey, Value};
+use gencon_types::Value;
 
 /// Why an [`App::restore`] rejected a folded state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,9 +91,8 @@ impl From<WireError> for AppError {
 pub trait App: Clone + Default + Send + 'static {
     /// The command type clients submit (must be globally unique per
     /// logical request — carry a client-assigned id — because the SMR
-    /// layer deduplicates retries by value). The [`CmdKey`] bound
-    /// exposes that id to the per-command trace.
-    type Cmd: Value + Wire + CmdKey;
+    /// layer deduplicates retries by value).
+    type Cmd: Value + Wire;
 
     /// What a client gets back with its commit ack.
     type Reply: Clone + PartialEq + Eq + std::fmt::Debug + Send + Wire + 'static;

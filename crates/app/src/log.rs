@@ -9,7 +9,7 @@
 
 use gencon_net::wire_sync::{decode_state, encode_state};
 use gencon_net::Wire;
-use gencon_types::{CmdKey, Value};
+use gencon_types::Value;
 
 use crate::{App, AppError};
 
@@ -55,7 +55,7 @@ impl<V: Value + Wire> LogApp<V> {
     }
 }
 
-impl<V: Value + Wire + CmdKey> App for LogApp<V> {
+impl<V: Value + Wire> App for LogApp<V> {
     type Cmd = V;
     type Reply = u64;
 

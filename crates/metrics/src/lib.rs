@@ -613,129 +613,6 @@ impl HistoryRing {
     }
 }
 
-/// Counter name for SLO-conforming observations.
-pub const SLO_GOOD: &str = "slo.good";
-/// Counter name for SLO-violating observations.
-pub const SLO_BAD: &str = "slo.bad";
-
-/// Tracks a latency SLO: every observation is classified against a
-/// fixed budget into the [`SLO_GOOD`]/[`SLO_BAD`] registry counters.
-///
-/// Because the counters live in the ordinary [`Registry`], the
-/// [`HistoryRing`] sampler snapshots them like everything else — burn
-/// rates over *any* window fall out of the history for free
-/// ([`slo_burn`]), locally and for a remote monitor reading the admin
-/// `history` command.
-#[derive(Clone, Debug)]
-pub struct SloTracker {
-    budget_us: u64,
-    good: Counter,
-    bad: Counter,
-}
-
-impl SloTracker {
-    /// A tracker classifying against `budget_us` (e.g. the p99 target
-    /// from `--slo-p99-us`), counting into `registry`.
-    #[must_use]
-    pub fn new(registry: &Registry, budget_us: u64) -> Self {
-        SloTracker {
-            budget_us,
-            good: registry.counter(SLO_GOOD),
-            bad: registry.counter(SLO_BAD),
-        }
-    }
-
-    /// The latency budget observations are classified against (µs).
-    #[must_use]
-    pub fn budget_us(&self) -> u64 {
-        self.budget_us
-    }
-
-    /// Classifies one end-to-end latency observation.
-    pub fn observe(&self, e2e_us: u64) {
-        if e2e_us <= self.budget_us {
-            self.good.inc();
-        } else {
-            self.bad.inc();
-        }
-    }
-
-    /// Observations within budget so far.
-    #[must_use]
-    pub fn good(&self) -> u64 {
-        self.good.get()
-    }
-
-    /// Observations over budget so far.
-    #[must_use]
-    pub fn bad(&self) -> u64 {
-        self.bad.get()
-    }
-}
-
-/// The error budget a p99 target implies: 1% of events may breach.
-pub const SLO_ERROR_BUDGET_P99: f64 = 0.01;
-
-/// An SLO burn rate over one history window: how fast the error budget
-/// is being consumed (1.0 = exactly on budget, 10.0 = budget gone in a
-/// tenth of the period).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SloBurn {
-    /// Wall-clock span of the window (ms).
-    pub window_ms: u64,
-    /// SLO-conforming events inside the window.
-    pub good: u64,
-    /// SLO-violating events inside the window.
-    pub bad: u64,
-    /// `(bad / (good + bad)) / error_budget`.
-    pub burn: f64,
-}
-
-impl SloBurn {
-    /// One JSON object, no trailing newline.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"window_ms\":{},\"good\":{},\"bad\":{},\"burn\":{:.3}}}",
-            self.window_ms, self.good, self.bad, self.burn
-        )
-    }
-}
-
-/// The burn rate over the window spanned by `snaps` (oldest → newest
-/// [`SLO_GOOD`]/[`SLO_BAD`] deltas, reset-aware). `None` until the
-/// window has two snapshots, and when no SLO-classified event landed
-/// inside it (an idle window burns nothing — but a window of *only*
-/// bad events reports its burn, it is not idle).
-///
-/// Pass tails of different lengths for a multi-window view: the short
-/// window catches a fast burn early, the long one confirms a slow
-/// steady burn.
-#[must_use]
-pub fn slo_burn(snaps: &[HistorySnapshot], error_budget: f64) -> Option<SloBurn> {
-    let (first, last) = match snaps {
-        [] | [_] => return None,
-        [first, .., last] => (first, last),
-    };
-    let delta = |name: &str| {
-        let p = HistorySnapshot::value(&first.counters, name).unwrap_or(0);
-        let c = HistorySnapshot::value(&last.counters, name).unwrap_or(0);
-        reset_aware_delta(p, c)
-    };
-    let good = delta(SLO_GOOD);
-    let bad = delta(SLO_BAD);
-    let total = good + bad;
-    if total == 0 || error_budget <= 0.0 {
-        return None;
-    }
-    Some(SloBurn {
-        window_ms: last.ts_ms.saturating_sub(first.ts_ms),
-        good,
-        bad,
-        burn: (bad as f64 / total as f64) / error_budget,
-    })
-}
-
 #[cfg(unix)]
 mod sigusr1 {
     use super::Registry;
@@ -984,60 +861,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(ring.len() >= 2, "sampler produced snapshots");
-    }
-
-    #[test]
-    fn slo_tracker_classifies_and_burns() {
-        let r = Registry::new();
-        let slo = SloTracker::new(&r, 1_000);
-        assert_eq!(slo.budget_us(), 1_000);
-        let ring = HistoryRing::new(8);
-        ring.sample_at(&r, 1_000);
-        // 99 good, 1 bad → exactly the 1% p99 error budget: burn 1.0.
-        for _ in 0..99 {
-            slo.observe(500);
-        }
-        slo.observe(1_001);
-        assert_eq!((slo.good(), slo.bad()), (99, 1));
-        assert_eq!(r.counter_value(SLO_GOOD), Some(99), "plain counters");
-        ring.sample_at(&r, 2_000);
-        let burn = slo_burn(&ring.tail(8), SLO_ERROR_BUDGET_P99).expect("events in window");
-        assert_eq!(burn.window_ms, 1_000);
-        assert_eq!((burn.good, burn.bad), (99, 1));
-        assert!((burn.burn - 1.0).abs() < 1e-9, "{burn:?}");
-        // A hotter short window: the newest delta is all bad.
-        for _ in 0..10 {
-            slo.observe(5_000);
-        }
-        ring.sample_at(&r, 2_500);
-        let short = slo_burn(&ring.tail(2), SLO_ERROR_BUDGET_P99).expect("short window");
-        assert!(
-            (short.burn - 100.0).abs() < 1e-9,
-            "all-bad window: {short:?}"
-        );
-        let long = slo_burn(&ring.tail(8), SLO_ERROR_BUDGET_P99).expect("long window");
-        assert!(short.burn > long.burn, "multi-window separates the two");
-        let json = short.to_json();
-        assert!(json.contains("\"burn\":100.000"), "{json}");
-    }
-
-    #[test]
-    fn slo_burn_idle_and_degenerate_windows() {
-        let r = Registry::new();
-        let _slo = SloTracker::new(&r, 100);
-        let ring = HistoryRing::new(4);
-        ring.sample_at(&r, 1_000);
-        assert!(slo_burn(&ring.tail(4), 0.01).is_none(), "one snapshot");
-        ring.sample_at(&r, 2_000);
-        assert!(slo_burn(&ring.tail(4), 0.01).is_none(), "idle window");
-        assert!(slo_burn(&[], 0.01).is_none());
-        let tracked = SloTracker::new(&r, 100);
-        tracked.observe(1);
-        ring.sample_at(&r, 3_000);
-        assert!(slo_burn(&ring.tail(4), 0.0).is_none(), "zero budget");
-        let burn = slo_burn(&ring.tail(4), 0.01).expect("events now");
-        assert_eq!(burn.bad, 0);
-        assert!((burn.burn - 0.0).abs() < 1e-9);
     }
 
     #[test]

@@ -25,11 +25,6 @@
 //! |               | the newest history interval                         |
 //! | `hash`        | the node's published `(applied count, state hash)`  |
 //! |               | pairs — the cross-replica divergence audit record   |
-//! | `cmds [n]`    | per-command latency breakdowns (submit → ack, relay |
-//! |               | legs counted) assembled from the last `n` (default  |
-//! |               | 4096) events, one JSON line per command             |
-//! | `slowest [n]` | the `n` slowest commands by e2e the exemplar ring   |
-//! |               | retains (default: all of them), slowest first       |
 //!
 //! The endpoint is read-only and runs on its own thread; every answer is
 //! assembled from lock-free snapshots (metric handles, the flight
@@ -41,14 +36,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use gencon_metrics::{HistoryRing, Registry};
-use gencon_trace::{
-    assemble_cmd_spans, assemble_spans, hash_hex, FlightRecorder, HashCell, PeerTable, SlowCmdRing,
-};
+use gencon_trace::{assemble_spans, hash_hex, FlightRecorder, HashCell, PeerTable};
 
 /// Default event count for `trace` without an argument.
 const TRACE_DEFAULT: usize = 256;
@@ -79,9 +70,6 @@ pub struct AdminState {
     pub history: HistoryRing,
     /// The published state-hash pairs backing `hash`.
     pub hashes: HashCell,
-    /// The slow-command exemplar ring backing `slowest` (share the
-    /// gateway's ring; an unshared fresh ring just answers empty).
-    pub slow_cmds: SlowCmdRing,
     /// Read/write deadline set on every accepted stream, so one silent
     /// client cannot freeze the port.
     pub io_timeout: Duration,
@@ -199,26 +187,8 @@ impl AdminState {
                 |report| report.to_json(),
             ),
             "hash" => self.hash_json(),
-            "cmds" => {
-                let events = self.recorder.tail(arg(SPANS_DEFAULT));
-                let slots = assemble_spans(&events);
-                let mut out = String::new();
-                for span in assemble_cmd_spans(&events, &slots) {
-                    out.push_str(&span.to_json());
-                    out.push('\n');
-                }
-                out
-            }
-            "slowest" => {
-                let mut out = String::new();
-                for ex in self.slow_cmds.top(arg(self.slow_cmds.capacity())) {
-                    out.push_str(&ex.to_json());
-                    out.push('\n');
-                }
-                out
-            }
             _ => "{\"error\":\"unknown command (metrics|status|trace [n]|spans [n]|\
-                  spans <from>..<to>|clock|history [n]|rates|hash|cmds [n]|slowest [n])\"}"
+                  spans <from>..<to>|clock|history [n]|rates|hash)\"}"
                 .to_string(),
         }
     }
@@ -277,26 +247,10 @@ fn handle(state: &AdminState, stream: TcpStream) {
 /// debug port, not a data plane, and per-stream deadlines bound how long
 /// any one client can hold it.
 pub fn spawn_admin(addr: SocketAddr, state: AdminState) -> std::io::Result<SocketAddr> {
-    spawn_admin_gated(addr, state, Arc::new(AtomicBool::new(false)))
-}
-
-/// [`spawn_admin`] with an offline switch: while `offline` is true,
-/// accepted connections are dropped without an answer — to a monitor the
-/// node looks dead. Load drivers flip this to rehearse a node crash and
-/// recovery without tearing down the in-process cluster.
-pub fn spawn_admin_gated(
-    addr: SocketAddr,
-    state: AdminState,
-    offline: Arc<AtomicBool>,
-) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     std::thread::spawn(move || {
         for stream in listener.incoming().flatten() {
-            if offline.load(Ordering::Relaxed) {
-                drop(stream);
-                continue;
-            }
             handle(&state, stream);
         }
     });
@@ -326,7 +280,6 @@ mod tests {
             peers: PeerTable::new(3),
             history: HistoryRing::new(16),
             hashes: HashCell::new(),
-            slow_cmds: SlowCmdRing::new(),
             io_timeout: ADMIN_IO_TIMEOUT,
         }
     }
@@ -374,13 +327,54 @@ mod tests {
         assert!(spans.contains("\"slot\":4"), "{spans}");
         assert!(spans.contains("\"order_us\""), "{spans}");
 
-        let err = query(addr, "bogus");
-        assert!(err.contains("\"error\""), "{err}");
+        // Unknown and retired verbs get the error line, which lists
+        // exactly the verbs the endpoint serves.
+        for verb in ["bogus", "cmds", "slowest 3"] {
+            let err = query(addr, verb);
+            assert!(err.starts_with("{\"error\""), "{verb}: {err}");
+            let list = &err[err.find('(').unwrap() + 1..err.rfind(')').unwrap()];
+            let mut named: Vec<&str> = list
+                .split('|')
+                .filter_map(|alt| alt.split_whitespace().next())
+                .collect();
+            named.dedup();
+            assert_eq!(
+                named,
+                ["metrics", "status", "trace", "spans", "clock", "history", "rates", "hash"],
+                "{err}"
+            );
+        }
 
         assert!(
-            registry.counter_value("admin.connections").unwrap_or(0) >= 5,
+            registry.counter_value("admin.connections").unwrap_or(0) >= 7,
             "served connections are counted"
         );
+    }
+
+    #[test]
+    fn slowest_and_cmds_answer_over_tcp() {
+        // Command-path tracing is gone: `slowest` and `cmds`, with or
+        // without an argument, answer the one-line error instead of
+        // data, and the port keeps serving afterwards.
+        let state = test_state();
+        state
+            .recorder
+            .record(Stage::Order, EventKind::Decided, 4, 9);
+        let addr = spawn_admin("127.0.0.1:0".parse().unwrap(), state).unwrap();
+        for verb in ["slowest", "slowest 3", "cmds", "cmds 8"] {
+            let err = query(addr, verb);
+            assert_eq!(err.lines().count(), 1, "{verb}: {err}");
+            assert!(
+                err.starts_with("{\"error\":\"unknown command"),
+                "{verb}: {err}"
+            );
+            assert!(
+                !err.contains("slowest") && !err.contains("cmds"),
+                "{verb}: {err}"
+            );
+        }
+        let trace = query(addr, "trace");
+        assert!(trace.contains("\"kind\":\"decided\""), "{trace}");
     }
 
     #[test]
@@ -449,47 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn slowest_and_cmds_answer_over_tcp() {
-        use gencon_trace::CmdExemplar;
-        let state = test_state();
-        let rec = state.recorder.clone();
-        // One command's life: submitted → queued → batched into slot 4
-        // → decided → acked (detail = decided slot).
-        rec.record(Stage::Ingest, EventKind::Submitted, 7, 0);
-        rec.record(Stage::Ingest, EventKind::CmdQueued, 7, 1);
-        rec.record(Stage::Order, EventKind::Batched, 7, 4);
-        rec.record(Stage::Order, EventKind::Proposed, 4, 1);
-        rec.record(Stage::Order, EventKind::Decided, 4, 1);
-        rec.record(Stage::Ack, EventKind::CmdAcked, 7, 4);
-        for (cmd, e2e) in [(7u64, 900u64), (8, 100)] {
-            state.slow_cmds.offer(CmdExemplar {
-                cmd,
-                e2e_us: e2e,
-                slot: 4,
-                submitted_ts_us: 10,
-                relay_hops: 0,
-            });
-        }
-        let addr = spawn_admin("127.0.0.1:0".parse().unwrap(), state).unwrap();
-
-        let cmds = query(addr, "cmds");
-        assert_eq!(cmds.lines().count(), 1, "{cmds}");
-        assert!(cmds.contains("\"cmd\":7"), "{cmds}");
-        assert!(cmds.contains("\"slot\":4"), "{cmds}");
-        assert!(cmds.contains("\"e2e_us\""), "{cmds}");
-
-        let slowest = query(addr, "slowest");
-        assert_eq!(slowest.lines().count(), 2, "{slowest}");
-        assert!(
-            slowest.lines().next().unwrap().contains("\"cmd\":7"),
-            "slowest first: {slowest}"
-        );
-        let one = query(addr, "slowest 1");
-        assert_eq!(one.lines().count(), 1, "{one}");
-        assert!(one.contains("\"e2e_us\":900"), "{one}");
-    }
-
-    #[test]
     fn clock_reports_monotonic_reading_and_epoch() {
         let state = test_state();
         let rec = state.recorder.clone();
@@ -534,27 +487,5 @@ mod tests {
             registry.counter_value("admin.errors").unwrap_or(0) >= 1,
             "timed-out connection is counted as an error"
         );
-    }
-
-    #[test]
-    fn offline_gate_drops_connections_then_recovers() {
-        use std::io::Read;
-        let state = test_state();
-        state.registry.gauge("order.round").set(3);
-        let offline = Arc::new(AtomicBool::new(true));
-        let addr =
-            spawn_admin_gated("127.0.0.1:0".parse().unwrap(), state, offline.clone()).unwrap();
-
-        // While offline: the connection is accepted then dropped with no
-        // answer — a monitor reads zero bytes.
-        let mut s = TcpStream::connect(addr).unwrap();
-        let _ = s.write_all(b"status\n");
-        let mut out = String::new();
-        let _ = s.read_to_string(&mut out);
-        assert!(out.is_empty(), "offline node answered: {out}");
-
-        offline.store(false, Ordering::Relaxed);
-        let status = query(addr, "status");
-        assert!(status.contains("\"round\":3"), "{status}");
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! ```bash
 //! gencon-mon trace-pull --nodes admin:port,... \
-//!   [--cmds] [--spans-window 65536] [--clock-samples 8] [--out CLUSTER_SPANS.jsonl]
+//!   [--spans-window 65536] [--clock-samples 8] [--out CLUSTER_SPANS.jsonl]
 //! ```
 //!
 //! Estimates each node's recorder-clock offset from `--clock-samples`
@@ -37,14 +37,6 @@
 //! the per-slot critical path — followed by one `{"summary":…}` line
 //! with percentiles and every node's clock offset. Exits 1 when no
 //! span could be stitched (the CI assertion mode).
-//!
-//! With `--cmds` the pull is command-scoped instead: each node's
-//! `cmds` and `slowest` answers are stitched into one
-//! [`ClusterCmdSpan`](gencon_trace::ClusterCmdSpan) JSON line per
-//! command — relay hops mapped across nodes with the clock uncertainty
-//! carried — and the summary line splits e2e percentiles by
-//! coordinator-path vs relay-path and merges the slow-command
-//! exemplars cluster-wide. Exits 1 when no command could be stitched.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -52,8 +44,7 @@ use std::time::Duration;
 
 use gencon_server::cli::{flag_value, parse_flag, required_flag};
 use gencon_server::mon::{
-    trace_pull, trace_pull_cmds, MonConfig, Monitor, CLOCK_SAMPLES_DEFAULT,
-    TRACE_PULL_WINDOW_DEFAULT,
+    trace_pull, MonConfig, Monitor, CLOCK_SAMPLES_DEFAULT, TRACE_PULL_WINDOW_DEFAULT,
 };
 
 const BIN: &str = "gencon-mon";
@@ -87,9 +78,6 @@ fn main() {
         stall_polls: parse(&args, "--stall-polls", 3),
         straggler_slots: parse(&args, "--straggler-slots", 2_048),
         straggler_rounds: parse(&args, "--straggler-rounds", 64),
-        slo_burn_max: parse(&args, "--slo-burn-max", 2.0),
-        slo_window_short: parse(&args, "--slo-window-short", 2),
-        slo_window_long: parse(&args, "--slo-window-long", 8),
     };
     let once = args.iter().any(|a| a == "--once");
     let polls: u64 = parse(&args, "--polls", if once { 1 } else { u64::MAX });
@@ -98,32 +86,20 @@ fn main() {
     if args.iter().any(|a| a == "trace-pull") {
         let window: usize = parse(&args, "--spans-window", TRACE_PULL_WINDOW_DEFAULT);
         let samples: u32 = parse(&args, "--clock-samples", CLOCK_SAMPLES_DEFAULT);
-        let (body, stitched) = if args.iter().any(|a| a == "--cmds") {
-            let pull = trace_pull_cmds(&nodes, window, samples, &cfg);
-            let mut body = String::new();
-            for span in &pull.spans {
-                body.push_str(&span.to_json());
-                body.push('\n');
-            }
-            body.push_str(&format!("{{\"summary\":{}}}\n", pull.summary_json()));
-            (body, pull.spans.len())
-        } else {
-            let pull = trace_pull(&nodes, window, samples, &cfg);
-            let mut body = String::new();
-            for span in &pull.spans {
-                body.push_str(&span.to_json());
-                body.push('\n');
-            }
-            body.push_str(&format!("{{\"summary\":{}}}\n", pull.summary_json()));
-            (body, pull.spans.len())
-        };
+        let pull = trace_pull(&nodes, window, samples, &cfg);
+        let mut body = String::new();
+        for span in &pull.spans {
+            body.push_str(&span.to_json());
+            body.push('\n');
+        }
+        body.push_str(&format!("{{\"summary\":{}}}\n", pull.summary_json()));
         print!("{body}");
         if let Some(path) = &out {
             if let Err(e) = std::fs::write(path, &body) {
                 eprintln!("gencon-mon: cannot write autopsy to {path}: {e}");
             }
         }
-        if stitched == 0 {
+        if pull.spans.is_empty() {
             eprintln!("gencon-mon: trace-pull stitched no spans");
             exit(1);
         }

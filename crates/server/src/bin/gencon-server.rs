@@ -9,7 +9,7 @@
 //!   [--backpressure 65536] [--redirect-to ID] [--stop-after N] [--max-rounds R]
 //!   [--durable --data-dir DIR] [--fsync-interval-ms 5] [--snapshot-every 512]
 //!   [--snapshot-keep 2] [--ack-mode durable|fast] [--hash-at N]
-//!   [--metrics-file PATH] [--slo-p99-us N]
+//!   [--metrics-file PATH]
 //! ```
 //!
 //! The node connects the TCP mesh (peers may start late: dialing retries
@@ -53,19 +53,13 @@
 //! sizes its ring, default 65536) and serves the line-oriented admin
 //! port there: one command per connection — `metrics`, `status`,
 //! `trace [n]`, `spans [n]`, `spans <from>..<to>`, `clock`,
-//! `history [n]`, `rates`, `hash`, `cmds [n]`, `slowest [n]` — see
+//! `history [n]`, `rates`, `hash` — see
 //! [`gencon_server::admin`]. A sampler thread snapshots the registry
 //! every `--history-interval-ms` (default 500) into a ring of
 //! `--history-len` entries (default 128) backing `history`/`rates`, and
 //! the node publishes `(applied count, state hash)` pairs at
 //! snapshot-boundary folds backing `hash` — the feed `gencon-mon`
 //! aggregates cluster-wide.
-//!
-//! `--slo-p99-us N` tracks a p99 latency SLO: every acked command's
-//! end-to-end latency is classified against the `N` µs budget into the
-//! `slo.good`/`slo.bad` counters, which the history sampler snapshots —
-//! burn rates over any window fall out of the `history` feed
-//! (`gencon-mon` raises `slo-burn` alerts from them).
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -204,10 +198,6 @@ fn serve<A: App>(args: &[String]) {
     // The state-hash audit cell and history ring also ride with the
     // admin port (they back its `hash`/`history`/`rates` commands).
     let hash_cell = admin_addr.is_some().then(gencon_trace::HashCell::new);
-    // The slow-command exemplar ring backs the admin `slowest` command;
-    // the gateway offers every acked command's e2e to it.
-    let slow_ring = gencon_trace::SlowCmdRing::new();
-    let slo_budget_us: u64 = parse(args, "--slo-p99-us", 0);
 
     // Per-stage metrics. The registry is created unconditionally (the
     // counters are cheap); the JSON dump happens on exit and on SIGUSR1
@@ -275,11 +265,7 @@ fn serve<A: App>(args: &[String]) {
             eprintln!("gencon-server: cannot bind client address {client_addr}: {e}");
             exit(1);
         })
-        .with_metrics(&registry)
-        .with_slow_ring(slow_ring.clone());
-    if slo_budget_us > 0 {
-        gateway = gateway.with_slo(gencon_metrics::SloTracker::new(&registry, slo_budget_us));
-    }
+        .with_metrics(&registry);
     if let Some(rec) = &recorder {
         gateway = gateway.with_trace(rec.clone());
     }
@@ -367,7 +353,6 @@ fn serve<A: App>(args: &[String]) {
             peers: peer_table.clone(),
             history,
             hashes: hash_cell.clone().unwrap_or_default(),
-            slow_cmds: slow_ring.clone(),
             io_timeout: gencon_server::ADMIN_IO_TIMEOUT,
         };
         match spawn_admin(addr, state) {

@@ -63,11 +63,11 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use gencon_app::{App, Applier};
-use gencon_metrics::{Counter, Gauge, Histogram, Registry, SloTracker};
+use gencon_metrics::{Counter, Gauge, Histogram, Registry};
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
 use gencon_smr::BatchingReplica;
-use gencon_trace::{CmdExemplar, EventKind, FlightRecorder, HashCell, SlowCmdRing, Stage, Tracer};
-use gencon_types::{CmdKey, ProcessId};
+use gencon_trace::{EventKind, FlightRecorder, HashCell, Stage, Tracer};
+use gencon_types::ProcessId;
 
 use crate::node::{NodeHook, Waker};
 use crate::protocol::{read_frame, write_frame, ClientRequest, ClientResponse};
@@ -136,14 +136,8 @@ enum ApplyMsg<A: App> {
 /// outcomes) and the apply side (commit entries with replies). One
 /// channel, FIFO: an `Inflight` note always precedes its `Entry`.
 enum AckMsg<A: App> {
-    /// A fresh local submission was enqueued: remember who to answer
-    /// and when the submit frame was drained (for the e2e latency the
-    /// released ack reports).
-    Inflight {
-        cmd: A::Cmd,
-        conn: u64,
-        submitted_us: u64,
-    },
+    /// A fresh local submission was enqueued: remember who to answer.
+    Inflight { cmd: A::Cmd, conn: u64 },
     /// A command flattened and was applied; ack once durable.
     Entry {
         cmd: A::Cmd,
@@ -248,14 +242,6 @@ pub struct ClientGateway<A: App> {
     /// applied-count multiples of `every` (the memory-mode audit trail;
     /// durable nodes publish from the snapshot fold instead).
     hash_cell: Option<(HashCell, u64)>,
-    /// Classifies each released ack's e2e latency against the SLO
-    /// budget (`--slo-p99-us`).
-    slo: Option<SloTracker>,
-    /// Retains top-K-by-e2e exemplars for the admin `slowest` command.
-    slow_ring: Option<SlowCmdRing>,
-    /// Fallback submit-timestamp clock when no tracer is installed
-    /// (`Tracer::now_us` is 0 when disabled; e2e still needs a clock).
-    epoch: std::time::Instant,
     meters: GatewayMeters,
     tracer: Tracer,
     cfg: GatewayConfig,
@@ -280,17 +266,9 @@ impl<A: App> ClientGateway<A> {
         std::thread::spawn(move || {
             let mut next_id: u64 = 0;
             loop {
-                let Ok((stream, peer)) = listener.accept() else {
+                let Ok((stream, _)) = listener.accept() else {
                     return;
                 };
-                if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                    eprintln!(
-                        "[gateway {}] accepted conn {next_id} from {peer}",
-                        stream
-                            .local_addr()
-                            .map_or_else(|_| "?".into(), |a| a.to_string())
-                    );
-                }
                 stream.set_nodelay(true).ok();
                 let conn_id = next_id;
                 next_id += 1;
@@ -321,9 +299,6 @@ impl<A: App> ClientGateway<A> {
             inflight_count: Arc::new(AtomicUsize::new(0)),
             ack_gate: None,
             hash_cell: None,
-            slo: None,
-            slow_ring: None,
-            epoch: std::time::Instant::now(),
             meters: GatewayMeters::new(&Registry::new()),
             tracer: Tracer::disabled(),
             cfg,
@@ -371,28 +346,6 @@ impl<A: App> ClientGateway<A> {
     #[must_use]
     pub fn with_trace(mut self, recorder: FlightRecorder) -> ClientGateway<A> {
         self.tracer = Tracer::new(Some(recorder));
-        self
-    }
-
-    /// Installs an SLO tracker: every released ack's end-to-end latency
-    /// (submit-frame drain → reply released) is classified against the
-    /// tracker's budget into the `slo.good`/`slo.bad` registry counters.
-    /// Must run before the first round, like
-    /// [`with_metrics`](ClientGateway::with_metrics).
-    #[must_use]
-    pub fn with_slo(mut self, slo: SloTracker) -> ClientGateway<A> {
-        self.slo = Some(slo);
-        self
-    }
-
-    /// Installs the slow-command exemplar ring: each released ack's
-    /// `(cmd, e2e, slot)` is offered to `ring`, which keeps the top-K
-    /// by e2e for the admin `slowest` command. Share the same ring with
-    /// the admin endpoint. Must run before the first round, like
-    /// [`with_metrics`](ClientGateway::with_metrics).
-    #[must_use]
-    pub fn with_slow_ring(mut self, ring: SlowCmdRing) -> ClientGateway<A> {
-        self.slow_ring = Some(ring);
         self
     }
 
@@ -452,17 +405,6 @@ impl<A: App> ClientGateway<A> {
         self.meters.bounced_redirect.get()
     }
 
-    /// The submit-timestamp clock: the tracer's recorder clock when
-    /// tracing (so stamps and spans share a timebase), else a private
-    /// epoch. Both ends of an e2e measurement use the same source.
-    fn stamp_us(&self) -> u64 {
-        if self.tracer.enabled() {
-            self.tracer.now_us()
-        } else {
-            self.epoch.elapsed().as_micros() as u64
-        }
-    }
-
     /// Blocks until every delta and ack note shipped so far has been
     /// processed and every releasable ack has been written — the
     /// shutdown/rendezvous barrier ([`NodeHook::finish`] calls it, tests
@@ -516,9 +458,6 @@ impl<A: App> ClientGateway<A> {
             bounced: Arc::clone(&self.bounced),
             acks_dropped: Arc::clone(&self.acks_dropped),
             inflight_count: Arc::clone(&self.inflight_count),
-            slo: self.slo.clone(),
-            slow: self.slow_ring.clone(),
-            epoch: self.epoch,
             m: self.meters.clone(),
             t: self.tracer.clone(),
         };
@@ -584,12 +523,7 @@ fn conn_reader<A: App>(
                     w.wake();
                 }
             }
-            Err(e) => {
-                if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                    eprintln!("[gateway] conn {conn_id} reader exit: {e}");
-                }
-                return; // disconnect or protocol violation
-            }
+            Err(_) => return, // disconnect or protocol violation
         }
     }
 }
@@ -681,9 +615,8 @@ struct AckState<A: App> {
     conns: Conns,
     cfg: GatewayConfig,
     gate: Option<Arc<AtomicU64>>,
-    /// Locally submitted, not yet acked: command →
-    /// `(connection, submit timestamp)`.
-    inflight: HashMap<A::Cmd, (u64, u64)>,
+    /// Locally submitted, not yet acked: command → connection.
+    inflight: HashMap<A::Cmd, u64>,
     /// Applied but not yet acked `(cmd, slot, offset, reply, enq_us)` —
     /// drained in offset order as the durable watermark advances
     /// (immediately, without a gate). `enq_us` is the tracer timestamp
@@ -704,10 +637,6 @@ struct AckState<A: App> {
     bounced: Arc<AtomicU64>,
     acks_dropped: Arc<AtomicU64>,
     inflight_count: Arc<AtomicUsize>,
-    slo: Option<SloTracker>,
-    slow: Option<SlowCmdRing>,
-    /// Same fallback clock as the order side's submit stamps.
-    epoch: std::time::Instant,
     m: GatewayMeters,
     t: Tracer,
 }
@@ -734,15 +663,11 @@ impl<A: App> AckState<A> {
 
     fn handle(&mut self, msg: AckMsg<A>) {
         match msg {
-            AckMsg::Inflight {
-                cmd,
-                conn,
-                submitted_us,
-            } => {
+            AckMsg::Inflight { cmd, conn } => {
                 if self.reack(&cmd, conn) {
                     return; // raced past its own commit (belt & braces)
                 }
-                if self.inflight.insert(cmd, (conn, submitted_us)).is_none() {
+                if self.inflight.insert(cmd, conn).is_none() {
                     self.inflight_count.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -779,7 +704,7 @@ impl<A: App> AckState<A> {
                 if self.reack(&cmd, conn) {
                     return;
                 }
-                if let Some((owner, _)) = self.inflight.get_mut(&cmd) {
+                if let Some(owner) = self.inflight.get_mut(&cmd) {
                     // Still awaiting its commit: the newest connection
                     // wins the eventual ack.
                     *owner = conn;
@@ -787,17 +712,11 @@ impl<A: App> AckState<A> {
                 }
                 if let Some(resp) = fallback {
                     self.bounced.fetch_add(1, Ordering::Relaxed);
-                    let kind = match &resp {
-                        ClientResponse::Redirect { .. } => 1,
-                        _ => 0,
-                    };
-                    if kind == 1 {
+                    if matches!(resp, ClientResponse::Redirect { .. }) {
                         self.m.bounced_redirect.inc();
                     } else {
                         self.m.bounced_backpressure.inc();
                     }
-                    self.t
-                        .rec(Stage::Ack, EventKind::Bounced, cmd.cmd_key(), kind);
                     self.respond(conn, &resp);
                     return;
                 }
@@ -864,32 +783,8 @@ impl<A: App> AckState<A> {
                 self.t.now_us().saturating_sub(enq_us),
             );
             self.index_committed(cmd.clone(), slot, offset, Some(reply.clone()));
-            if let Some((conn, submitted_us)) = self.inflight.remove(&cmd) {
+            if let Some(conn) = self.inflight.remove(&cmd) {
                 self.inflight_count.fetch_sub(1, Ordering::Relaxed);
-                // The locally submitted command's full story: stamp the
-                // ack (detail = decided slot, the join key into slot
-                // spans), classify the e2e against the SLO budget, and
-                // offer it to the slow-command exemplar ring.
-                let now = if self.t.enabled() {
-                    self.t.now_us()
-                } else {
-                    self.epoch.elapsed().as_micros() as u64
-                };
-                let e2e = now.saturating_sub(submitted_us);
-                self.t
-                    .rec(Stage::Ack, EventKind::CmdAcked, cmd.cmd_key(), slot);
-                if let Some(slo) = &self.slo {
-                    slo.observe(e2e);
-                }
-                if let Some(ring) = &self.slow {
-                    ring.offer(CmdExemplar {
-                        cmd: cmd.cmd_key(),
-                        e2e_us: e2e,
-                        slot,
-                        submitted_ts_us: submitted_us,
-                        relay_hops: 0,
-                    });
-                }
                 self.respond(
                     conn,
                     &ClientResponse::Committed {
@@ -959,10 +854,10 @@ impl<A: App> AckState<A> {
         let Some(stream) = conns.get_mut(&conn_id) else {
             return; // client went away; the commit stands regardless
         };
-        if let Err(e) = write_frame(stream, resp).and_then(|()| stream.flush()) {
-            if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                eprintln!("[gateway] respond to conn {conn_id} failed: {e}");
-            }
+        if write_frame(stream, resp)
+            .and_then(|()| stream.flush())
+            .is_err()
+        {
             conns.remove(&conn_id);
         }
     }
@@ -978,13 +873,6 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
             }
         }
         while let Ok((conn_id, cmd)) = self.submissions.try_recv() {
-            // The submit stamp covers every arrival — bounced commands
-            // trace too (their span ends at the `bounced` event).
-            let submitted_us = self.stamp_us();
-            if self.tracer.enabled() {
-                self.tracer
-                    .rec(Stage::Ingest, EventKind::Submitted, cmd.cmd_key(), conn_id);
-            }
             if let Some(to) = self.cfg.redirect_to {
                 // The ack stage checks its commit index before bouncing:
                 // a retry of a committed command is re-acked, not
@@ -1006,19 +894,7 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
                 continue;
             }
             if replica.submit(cmd.clone()) {
-                if self.tracer.enabled() {
-                    self.tracer.rec(
-                        Stage::Ingest,
-                        EventKind::CmdQueued,
-                        cmd.cmd_key(),
-                        replica.queued() as u64,
-                    );
-                }
-                self.ship_ack(AckMsg::Inflight {
-                    cmd,
-                    conn: conn_id,
-                    submitted_us,
-                });
+                self.ship_ack(AckMsg::Inflight { cmd, conn: conn_id });
             } else {
                 // Dedup-swallowed: already committed (re-ack from the
                 // index), still inflight (adopt the new connection), or

@@ -51,7 +51,7 @@ pub mod mon;
 mod node;
 pub mod protocol;
 
-pub use admin::{spawn_admin, spawn_admin_gated, AdminState, ADMIN_IO_TIMEOUT};
+pub use admin::{spawn_admin, AdminState, ADMIN_IO_TIMEOUT};
 pub use config::ServerConfig;
 pub use deadline::AdaptiveDeadline;
 pub use durable::{recover_replica, DurableConfig, DurableNode, RecoveredState};

@@ -23,9 +23,6 @@
 //! |                       | commits advance across `stall_polls` polls     |
 //! | `straggler-recovered` | a previously unreachable/straggling node is    |
 //! |                       | back within bounds                             |
-//! | `slo-burn`            | a node's SLO error budget burns faster than    |
-//! |                       | `slo_burn_max` in both the short and the long  |
-//! |                       | history window                                 |
 //!
 //! Hash agreement is checked at the **max common applied count**: each
 //! node publishes a short history of `(applied, hash)` pairs (see
@@ -40,17 +37,6 @@
 //! carried), pulls each node's `spans`, and stitches them with
 //! [`gencon_trace::stitch_spans`] into cluster slot spans — decide
 //! skew, quorum wait and fan-out attribution with explicit ± bounds.
-//! [`trace_pull_cmds`] is the command-scoped twin: it pulls each
-//! node's `cmds` and `slowest`, stitches relay hops across nodes with
-//! [`gencon_trace::stitch_cmd_spans`], and merges the slow-command
-//! exemplars into one cluster-wide worst-offenders list.
-//!
-//! The watchdog also reads each node's sampled `slo.good`/`slo.bad`
-//! counters from `history` and computes multi-window burn rates
-//! ([`gencon_metrics::slo_burn`]): `slo-burn` fires when both the
-//! short and the long window burn above [`MonConfig::slo_burn_max`] —
-//! the multi-window gate keeps one slow command from paging while a
-//! sustained breach still fires fast.
 //!
 //! Everything is hand-rolled over the admin port's fixed JSON shapes
 //! (the monitor must not drag a parser dependency into the server
@@ -61,11 +47,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use gencon_metrics::{slo_burn, HistorySnapshot, SloBurn, SLO_BAD, SLO_ERROR_BUDGET_P99, SLO_GOOD};
-use gencon_trace::{
-    stitch_cmd_spans, stitch_spans, ClockEstimate, ClusterCmdSpan, ClusterSlotSpan, CmdExemplar,
-    CmdSpan, NodeCmdSpans, NodeSpans, SlotSpan,
-};
+use gencon_trace::{stitch_spans, ClockEstimate, ClusterSlotSpan, NodeSpans, SlotSpan};
 
 /// Polling and threshold knobs for [`Monitor`].
 #[derive(Clone, Debug)]
@@ -83,13 +65,6 @@ pub struct MonConfig {
     pub straggler_slots: u64,
     /// Peer-reported round lag before a node is a straggler.
     pub straggler_rounds: u64,
-    /// `slo-burn` fires when a node's burn rate exceeds this in *both*
-    /// the short and the long history window (1.0 = exactly on budget).
-    pub slo_burn_max: f64,
-    /// History snapshots in the short burn window (newest-first tail).
-    pub slo_window_short: usize,
-    /// History snapshots in the long burn window.
-    pub slo_window_long: usize,
 }
 
 impl Default for MonConfig {
@@ -101,9 +76,6 @@ impl Default for MonConfig {
             stall_polls: 3,
             straggler_slots: 2_048,
             straggler_rounds: 64,
-            slo_burn_max: 2.0,
-            slo_window_short: 2,
-            slo_window_long: 8,
         }
     }
 }
@@ -138,11 +110,6 @@ pub struct NodeSample {
     pub hashes: Vec<(u64, String)>,
     /// Peer-lag rows from `status`: `(peer, lag_rounds, written_off)`.
     pub peer_lags: Vec<(usize, u64, bool)>,
-    /// SLO burn over the short history window (None when the node
-    /// tracks no SLO or the window is idle).
-    pub slo_burn_short: Option<SloBurn>,
-    /// SLO burn over the long history window.
-    pub slo_burn_long: Option<SloBurn>,
 }
 
 impl NodeSample {
@@ -161,15 +128,10 @@ impl NodeSample {
                 format!("{{\"peer\":{peer},\"lag_rounds\":{lag},\"written_off\":{off}}}")
             })
             .collect();
-        let burn = |b: &Option<SloBurn>| {
-            b.as_ref()
-                .map_or_else(|| "null".to_string(), SloBurn::to_json)
-        };
         format!(
             "{{\"node\":{},\"addr\":\"{}\",\"reachable\":{},\"round\":{},\"committed\":{},\
              \"applied\":{},\"persist_gate\":{},\"cmds_per_sec\":{:.3},\"fsyncs_per_sec\":{:.3},\
-             \"rounds_per_sec\":{:.3},\"slo_burn_short\":{},\"slo_burn_long\":{},\
-             \"hashes\":[{}],\"peer_lags\":[{}]}}",
+             \"rounds_per_sec\":{:.3},\"hashes\":[{}],\"peer_lags\":[{}]}}",
             self.node,
             self.addr,
             self.reachable,
@@ -180,8 +142,6 @@ impl NodeSample {
             self.cmds_per_sec,
             self.fsyncs_per_sec,
             self.rounds_per_sec,
-            burn(&self.slo_burn_short),
-            burn(&self.slo_burn_long),
             hashes.join(","),
             lags.join(","),
         )
@@ -203,9 +163,6 @@ pub enum AlertKind {
     GateWedge,
     /// A previously unreachable/straggling node is healthy again.
     StragglerRecovered,
-    /// A node is burning its SLO error budget above the configured
-    /// rate in both the short and the long window.
-    SloBurn,
 }
 
 impl AlertKind {
@@ -219,7 +176,6 @@ impl AlertKind {
             AlertKind::Straggler => "straggler",
             AlertKind::GateWedge => "gate-wedge",
             AlertKind::StragglerRecovered => "straggler-recovered",
-            AlertKind::SloBurn => "slo-burn",
         }
     }
 }
@@ -643,197 +599,11 @@ pub fn trace_pull(
     }
 }
 
-/// Parses one `cmds` JSON line back into a [`CmdSpan`] (the admin
-/// port's own output shape).
-fn parse_cmd_span_line(line: &str) -> Option<CmdSpan> {
-    let cmd = json_u64(line, "cmd")?;
-    let hops = json_u64(line, "relay_hops")?;
-    let f = |key: &str| json_u64(line, key);
-    Some(CmdSpan {
-        cmd,
-        slot: f("slot"),
-        submitted_ts_us: f("submitted_ts_us"),
-        queued_ts_us: f("queued_ts_us"),
-        batched_ts_us: f("batched_ts_us"),
-        acked_ts_us: f("acked_ts_us"),
-        relayed_ts_us: f("relayed_ts_us"),
-        merged_ts_us: f("merged_ts_us"),
-        merged_from: f("merged_from"),
-        queue_wait_us: f("queue_wait_us"),
-        batch_wait_us: f("batch_wait_us"),
-        order_us: f("order_us"),
-        persist_gate_wait_us: f("persist_gate_wait_us"),
-        ack_us: f("ack_us"),
-        e2e_us: f("e2e_us"),
-        relay_hops: u32::try_from(hops).unwrap_or(u32::MAX),
-        bounces: u32::try_from(f("bounces").unwrap_or(0)).unwrap_or(u32::MAX),
-    })
-}
-
-/// Parses one `slowest` JSON line back into a [`CmdExemplar`].
-fn parse_exemplar_line(line: &str) -> Option<CmdExemplar> {
-    Some(CmdExemplar {
-        cmd: json_u64(line, "cmd")?,
-        e2e_us: json_u64(line, "e2e_us")?,
-        slot: json_u64(line, "slot")?,
-        submitted_ts_us: json_u64(line, "submitted_ts_us")?,
-        relay_hops: u32::try_from(json_u64(line, "relay_hops")?).unwrap_or(u32::MAX),
-    })
-}
-
-/// Rebuilds the SLO counters from a multi-line `history` answer — just
-/// enough of each snapshot for [`gencon_metrics::slo_burn`].
-fn parse_slo_history(body: &str) -> Vec<HistorySnapshot> {
-    body.lines()
-        .filter_map(|line| {
-            let ts_ms = json_u64(line, "ts_ms")?;
-            let good = json_u64(line, SLO_GOOD).unwrap_or(0);
-            let bad = json_u64(line, SLO_BAD).unwrap_or(0);
-            Some(HistorySnapshot {
-                ts_ms,
-                counters: vec![(SLO_GOOD.to_string(), good), (SLO_BAD.to_string(), bad)],
-                gauges: Vec::new(),
-            })
-        })
-        .collect()
-}
-
-/// A completed cross-node *command* pull: per-node pull records, the
-/// relay-hop-stitched cluster command spans, and the merged slowest
-/// exemplars.
-#[derive(Clone, Debug)]
-pub struct CmdPull {
-    /// Per-node pull outcomes (`span_count` counts command spans).
-    pub nodes: Vec<NodePull>,
-    /// The stitched commands, hops mapped across nodes.
-    pub spans: Vec<ClusterCmdSpan>,
-    /// `(node, exemplar)` rows merged cluster-wide, slowest first.
-    pub slowest: Vec<(usize, CmdExemplar)>,
-}
-
-impl CmdPull {
-    /// e2e values (µs) of stitched commands, relayed (`hops > 0`) or
-    /// coordinator-path only.
-    #[must_use]
-    pub fn e2es(&self, relayed: bool) -> Vec<u64> {
-        self.spans
-            .iter()
-            .filter(|s| s.hops.is_empty() != relayed)
-            .filter_map(|s| s.e2e_us)
-            .collect()
-    }
-
-    /// Stitched relay-hop latencies (µs) across all commands.
-    #[must_use]
-    pub fn hop_latencies(&self) -> Vec<u64> {
-        self.spans
-            .iter()
-            .flat_map(|s| s.hops.iter().map(|h| h.latency_us))
-            .collect()
-    }
-
-    /// The pull summary as one JSON object: stitched-command count,
-    /// relay-hop count, e2e percentiles split coordinator-path vs
-    /// relay-path (the relay penalty, measured), hop latencies with the
-    /// worst clock uncertainty spelled out, and the cluster-wide
-    /// slowest exemplars.
-    #[must_use]
-    pub fn summary_json(&self) -> String {
-        let nodes: Vec<String> = self.nodes.iter().map(NodePull::to_json).collect();
-        let pct = |mut v: Vec<u64>, p: f64| {
-            gencon_trace::percentile_us(&mut v, p)
-                .map_or_else(|| "null".to_string(), |v| v.to_string())
-        };
-        let slowest: Vec<String> = self
-            .slowest
-            .iter()
-            .map(|(node, ex)| format!("{{\"node\":{node},{}", &ex.to_json()[1..]))
-            .collect();
-        let all: Vec<u64> = self.spans.iter().filter_map(|s| s.e2e_us).collect();
-        format!(
-            "{{\"stitched_cmds\":{},\"nodes_reached\":{},\"relay_hops\":{},\
-             \"e2e_p50_us\":{},\"e2e_p99_us\":{},\
-             \"local_e2e_p50_us\":{},\"local_e2e_p99_us\":{},\
-             \"relay_e2e_p50_us\":{},\"relay_e2e_p99_us\":{},\
-             \"hop_latency_p50_us\":{},\"hop_latency_p99_us\":{},\
-             \"max_uncertainty_us\":{},\"slowest\":[{}],\"clock\":[{}]}}",
-            self.spans.len(),
-            self.nodes.iter().filter(|n| n.reachable).count(),
-            self.hop_latencies().len(),
-            pct(all.clone(), 50.0),
-            pct(all, 99.0),
-            pct(self.e2es(false), 50.0),
-            pct(self.e2es(false), 99.0),
-            pct(self.e2es(true), 50.0),
-            pct(self.e2es(true), 99.0),
-            pct(self.hop_latencies(), 50.0),
-            pct(self.hop_latencies(), 99.0),
-            self.spans
-                .iter()
-                .map(|s| s.uncertainty_us)
-                .max()
-                .unwrap_or(0),
-            slowest.join(","),
-            nodes.join(","),
-        )
-    }
-}
-
-/// Pulls `clock` + `cmds` + `slowest` from every node, maps each
-/// node's command spans through its clock estimate, and stitches relay
-/// hops across nodes. Unreachable nodes degrade the stitch, they do
-/// not fail it — exactly like [`trace_pull`].
-#[must_use]
-pub fn trace_pull_cmds(
-    addrs: &[SocketAddr],
-    window: usize,
-    clock_samples: u32,
-    cfg: &MonConfig,
-) -> CmdPull {
-    let base = std::time::Instant::now();
-    let mut nodes = Vec::with_capacity(addrs.len());
-    let mut inputs: Vec<NodeCmdSpans> = Vec::with_capacity(addrs.len());
-    let mut slowest: Vec<(usize, CmdExemplar)> = Vec::new();
-    for (i, &addr) in addrs.iter().enumerate() {
-        let mut pull = NodePull {
-            node: i,
-            addr: addr.to_string(),
-            reachable: false,
-            clock: None,
-            span_count: 0,
-        };
-        if let Ok(clock) = estimate_clock(addr, base, clock_samples, cfg) {
-            pull.clock = Some(clock);
-            if let Ok(body) = query(addr, &format!("cmds {window}"), cfg) {
-                let spans: Vec<CmdSpan> = body.lines().filter_map(parse_cmd_span_line).collect();
-                pull.reachable = true;
-                pull.span_count = spans.len();
-                inputs.push(NodeCmdSpans {
-                    node: i as u64,
-                    clock,
-                    spans,
-                });
-            }
-            if let Ok(body) = query(addr, "slowest", cfg) {
-                slowest.extend(body.lines().filter_map(parse_exemplar_line).map(|e| (i, e)));
-            }
-        }
-        nodes.push(pull);
-    }
-    slowest.sort_by(|(_, a), (_, b)| b.e2e_us.cmp(&a.e2e_us).then(a.cmd.cmp(&b.cmd)));
-    CmdPull {
-        nodes,
-        spans: stitch_cmd_spans(&inputs),
-        slowest,
-    }
-}
-
 /// Per-node watchdog bookkeeping carried across polls.
 #[derive(Clone, Debug, Default)]
 struct NodeTrack {
     was_unreachable: bool,
     was_straggler: bool,
-    was_burning: bool,
     last_committed: Option<u64>,
     last_gate: Option<u64>,
     gate_static_polls: usize,
@@ -905,15 +675,6 @@ impl Monitor {
         }
         if let Ok(hash) = query(addr, "hash", &self.cfg) {
             s.hashes = parse_hash_pairs(&hash);
-        }
-        let long = self.cfg.slo_window_long.max(self.cfg.slo_window_short);
-        if long >= 2 {
-            if let Ok(history) = query(addr, &format!("history {long}"), &self.cfg) {
-                let snaps = parse_slo_history(&history);
-                let tail = |n: usize| &snaps[snaps.len().saturating_sub(n)..];
-                s.slo_burn_short = slo_burn(tail(self.cfg.slo_window_short), SLO_ERROR_BUDGET_P99);
-                s.slo_burn_long = slo_burn(tail(long), SLO_ERROR_BUDGET_P99);
-            }
         }
         s
     }
@@ -1058,35 +819,6 @@ impl Monitor {
             track.last_gate = Some(s.persist_gate);
         }
 
-        // SLO burn: the error budget draining too fast in both the
-        // short and the long window (transition-gated — a sustained
-        // breach fires once, recovery re-arms it).
-        for s in &reachable {
-            let track = &mut self.tracks[s.node];
-            let windows = s.slo_burn_short.as_ref().zip(s.slo_burn_long.as_ref());
-            let burning = windows.is_some_and(|(sh, lo)| {
-                sh.burn > self.cfg.slo_burn_max && lo.burn > self.cfg.slo_burn_max
-            });
-            if burning {
-                if !track.was_burning {
-                    track.was_burning = true;
-                    let (sh, lo) = windows.expect("burning implies both windows");
-                    alerts.push(Alert {
-                        kind: AlertKind::SloBurn,
-                        poll,
-                        node: Some(s.node),
-                        applied: None,
-                        detail: format!(
-                            "SLO burn {:.2}x over {}ms and {:.2}x over {}ms (threshold {:.2}x)",
-                            sh.burn, sh.window_ms, lo.burn, lo.window_ms, self.cfg.slo_burn_max
-                        ),
-                    });
-                }
-            } else {
-                track.was_burning = false;
-            }
-        }
-
         // Divergence: any applied count where two nodes' hashes differ.
         let mut by_applied: Vec<(u64, Vec<(usize, &str)>)> = Vec::new();
         for s in &reachable {
@@ -1178,7 +910,6 @@ mod tests {
             peers: PeerTable::new(2),
             history: HistoryRing::new(8),
             hashes: HashCell::new(),
-            slow_cmds: gencon_trace::SlowCmdRing::new(),
             io_timeout: ADMIN_IO_TIMEOUT,
         };
         let addr = spawn_admin("127.0.0.1:0".parse().unwrap(), state.clone()).unwrap();
@@ -1193,9 +924,6 @@ mod tests {
             stall_polls: 2,
             straggler_slots: 100,
             straggler_rounds: 50,
-            slo_burn_max: 2.0,
-            slo_window_short: 2,
-            slo_window_long: 4,
         }
     }
 
@@ -1470,139 +1198,6 @@ mod tests {
         };
         assert_eq!(parse_span_line(&span.to_json()), Some(span));
         assert_eq!(parse_span_line("{\"error\":\"nope\"}"), None);
-    }
-
-    #[test]
-    fn slo_burn_alert_fires_once_while_sustained() {
-        let (addr, state) = fake_node(0);
-        state.registry.gauge("order.committed_slots").set(100);
-        let good = state.registry.counter(gencon_metrics::SLO_GOOD);
-        let bad = state.registry.counter(gencon_metrics::SLO_BAD);
-        state.history.sample_at(&state.registry, 1_000);
-        // 10% of commands breach the budget: burn 10x against the 1%
-        // error budget, far over the 2x threshold, in every window.
-        good.add(90);
-        bad.add(10);
-        state.history.sample_at(&state.registry, 2_000);
-        good.add(180);
-        bad.add(20);
-        state.history.sample_at(&state.registry, 3_000);
-
-        let mut mon = Monitor::new(vec![addr], quick_cfg());
-        let first = mon.poll_once();
-        let burns: Vec<&Alert> = first
-            .alerts
-            .iter()
-            .filter(|a| a.kind == AlertKind::SloBurn)
-            .collect();
-        assert_eq!(burns.len(), 1, "{first:?}");
-        assert_eq!(burns[0].node, Some(0));
-        assert!(burns[0].detail.contains("10.00x"), "{:?}", burns[0]);
-        let sample = &first.nodes[0];
-        let short = sample.slo_burn_short.expect("short window");
-        assert!((short.burn - 10.0).abs() < 0.01, "{short:?}");
-        assert!(sample.to_json().contains("\"slo_burn_short\":{"));
-
-        // Still burning on the next poll: transition-gated, no repeat.
-        let second = mon.poll_once();
-        assert!(
-            second.alerts.iter().all(|a| a.kind != AlertKind::SloBurn),
-            "{second:?}"
-        );
-    }
-
-    #[test]
-    fn cmd_pull_stitches_relay_hops_and_merges_slowest() {
-        use gencon_trace::{EventKind, Stage};
-        let (addr_a, a) = fake_node(0);
-        let (addr_b, b) = fake_node(1);
-        // Command 7 submitted on node 0, relayed, merged on node 1
-        // (detail = sender 0), decided into slot 3, acked on node 1.
-        a.recorder.record(Stage::Ingest, EventKind::Submitted, 7, 0);
-        a.recorder.record(Stage::Ingest, EventKind::CmdQueued, 7, 1);
-        a.recorder.record(Stage::Order, EventKind::Relayed, 7, 2);
-        b.recorder
-            .record(Stage::Order, EventKind::RelayMerged, 7, 0);
-        b.recorder.record(Stage::Order, EventKind::Batched, 7, 3);
-        b.recorder.record(Stage::Order, EventKind::Proposed, 3, 1);
-        b.recorder.record(Stage::Order, EventKind::Decided, 3, 1);
-        b.recorder.record(Stage::Ack, EventKind::CmdAcked, 7, 3);
-        b.slow_cmds.offer(gencon_trace::CmdExemplar {
-            cmd: 7,
-            e2e_us: 5_000,
-            slot: 3,
-            submitted_ts_us: 100,
-            relay_hops: 1,
-        });
-        a.slow_cmds.offer(gencon_trace::CmdExemplar {
-            cmd: 9,
-            e2e_us: 400,
-            slot: 1,
-            submitted_ts_us: 50,
-            relay_hops: 0,
-        });
-
-        let pull = trace_pull_cmds(&[addr_a, addr_b], 1 << 16, 4, &quick_cfg());
-        assert!(pull.nodes.iter().all(|n| n.reachable), "{:?}", pull.nodes);
-        let span = pull
-            .spans
-            .iter()
-            .find(|s| s.cmd == 7)
-            .expect("cmd 7 stitched");
-        assert_eq!(span.hops.len(), 1, "{span:?}");
-        assert_eq!((span.hops[0].from, span.hops[0].to), (0, 1));
-        assert_eq!(span.decided_slot, Some(3));
-        assert_eq!(span.origin, Some(0));
-        assert_eq!(span.acked_on, Some(1));
-        assert!(span.e2e_us.is_some(), "cross-node e2e mapped: {span:?}");
-
-        // Slowest merges cluster-wide, slowest first, node attributed.
-        assert_eq!(pull.slowest.len(), 2);
-        assert_eq!(
-            pull.slowest[0],
-            (
-                1,
-                gencon_trace::CmdExemplar {
-                    cmd: 7,
-                    e2e_us: 5_000,
-                    slot: 3,
-                    submitted_ts_us: 100,
-                    relay_hops: 1,
-                }
-            )
-        );
-        let summary = pull.summary_json();
-        assert!(summary.contains("\"relay_hops\":1"), "{summary}");
-        assert!(summary.contains("\"relay_e2e_p99_us\":"), "{summary}");
-        assert!(summary.contains("\"max_uncertainty_us\":"), "{summary}");
-        assert!(
-            summary.contains("\"slowest\":[{\"node\":1,\"cmd\":7"),
-            "{summary}"
-        );
-    }
-
-    #[test]
-    fn cmd_span_lines_roundtrip_through_the_parser() {
-        let span = CmdSpan {
-            cmd: 42,
-            slot: Some(7),
-            submitted_ts_us: Some(1_000),
-            acked_ts_us: Some(3_000),
-            e2e_us: Some(2_000),
-            relay_hops: 2,
-            bounces: 1,
-            ..CmdSpan::default()
-        };
-        assert_eq!(parse_cmd_span_line(&span.to_json()), Some(span));
-        assert_eq!(parse_cmd_span_line("{\"error\":\"nope\"}"), None);
-        let ex = CmdExemplar {
-            cmd: 5,
-            e2e_us: 900,
-            slot: 2,
-            submitted_ts_us: 10,
-            relay_hops: 0,
-        };
-        assert_eq!(parse_exemplar_line(&ex.to_json()), Some(ex));
     }
 
     #[test]

@@ -87,7 +87,7 @@ use gencon_net::{RecvHalf, Transport};
 use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
 use gencon_smr::{Batch, BatchingReplica, SmrMsg};
 use gencon_trace::{EventKind, FlightRecorder, PeerTable, Stage, Tracer};
-use gencon_types::{CmdKey, ProcessId, ProcessSet, Round, Value};
+use gencon_types::{ProcessId, ProcessSet, Round, Value};
 
 use crate::config::ServerConfig;
 use crate::deadline::AdaptiveDeadline;
@@ -232,45 +232,6 @@ pub const CHUNKS_SERVED_PER_SENDER_PER_ROUND: u32 = 16;
 /// fresh) — the resumability safety valve against chasing a snapshot
 /// the vouchers have already superseded.
 pub const FETCH_STALL_ROUNDS: u64 = 32;
-
-/// Command ids remembered per relay-trace direction. Relay chunks
-/// rebroadcast in-flight commands every round, so without first-seen
-/// gating a single slow command would stamp a `Relayed`/`RelayMerged`
-/// event per round per peer and flood the flight recorder.
-const RELAY_SEEN_CAP: usize = 8192;
-
-/// A bounded first-seen filter: `insert` answers whether the key is new
-/// within the window. FIFO eviction — old ids age out, so a command
-/// re-relayed long after its window can stamp again (acceptable: span
-/// assembly is first-occurrence-wins anyway).
-struct SeenWindow {
-    set: std::collections::HashSet<u64>,
-    order: std::collections::VecDeque<u64>,
-    cap: usize,
-}
-
-impl SeenWindow {
-    fn new(cap: usize) -> Self {
-        SeenWindow {
-            set: std::collections::HashSet::with_capacity(cap),
-            order: std::collections::VecDeque::with_capacity(cap),
-            cap,
-        }
-    }
-
-    fn insert(&mut self, key: u64) -> bool {
-        if !self.set.insert(key) {
-            return false;
-        }
-        self.order.push_back(key);
-        if self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        true
-    }
-}
 
 /// Senders heard within the liveness grace window (everyone at startup,
 /// since nobody has had a chance to speak yet).
@@ -493,7 +454,7 @@ pub fn run_smr_node_observed<V, T, H>(
     peers: Option<&PeerTable>,
 ) -> (BatchingReplica<V>, T, NodeStats, H)
 where
-    V: Value + Wire + CmdKey,
+    V: Value + Wire,
     T: Transport,
     H: NodeHook<V>,
 {
@@ -535,7 +496,7 @@ fn order_loop<V, T, H>(
     peers: &PeerTable,
 ) -> NodeStats
 where
-    V: Value + Wire + CmdKey,
+    V: Value + Wire,
     T: Transport,
     H: NodeHook<V>,
 {
@@ -587,10 +548,6 @@ where
     // slots in an outgoing bundle get a `proposed` trace event exactly
     // once.
     let mut proposed_next: u64 = 0;
-    // First-seen windows gating the per-command relay stamps (relay
-    // chunks repeat in-flight commands every round).
-    let mut relayed_seen = SeenWindow::new(RELAY_SEEN_CAP);
-    let mut merged_seen = SeenWindow::new(RELAY_SEEN_CAP);
     // The wake-up path into our own inbox, published for the hook.
     let waker = inbox.map(|half| Waker {
         tx: half.waker(),
@@ -612,27 +569,6 @@ where
         }
     };
 
-    // Stamps each first-seen relayed command of a peer bundle before the
-    // bundle moves into the heard set — the receive step merges fresh
-    // relays into the propose queue.
-    let mut trace_merged = |msg: &SmrMsg<Batch<V>>, sender: ProcessId| {
-        if tracer.enabled() {
-            for chunk in msg.relays() {
-                for cmd in chunk.commands() {
-                    let key = cmd.cmd_key();
-                    if merged_seen.insert(key) {
-                        tracer.rec(
-                            Stage::Order,
-                            EventKind::RelayMerged,
-                            key,
-                            sender.index() as u64,
-                        );
-                    }
-                }
-            }
-        }
-    };
-
     let mut r: u64 = 1;
     // A node runs at least one round at start-up: a restarted node's
     // first frame is how a quiescent cluster learns it is back.
@@ -644,7 +580,6 @@ where
         let mut heard: HeardOf<SmrMsg<Batch<V>>> = HeardOf::empty(n);
         if let Some(buffered) = future.remove(&r) {
             for (sender, msg) in buffered {
-                trace_merged(&msg, sender);
                 heard.put(sender, msg);
             }
         }
@@ -745,26 +680,11 @@ where
                 for d in (0..n).map(ProcessId::new).filter(|&d| d != me) {
                     transport.send(d, frame.clone());
                 }
-                // Stamps the outgoing bundle: `Proposed` once per new
-                // slot, `Batched` once per command drained into a new
-                // slot's batch (the batch-wait endpoint, detail = the
-                // proposed slot), and `Relayed` once per first-relayed
-                // command (detail = peers the chunk ships to).
+                // Stamps `Proposed` once per new slot in the outgoing bundle.
                 if tracer.enabled() {
                     for (slot, _) in bundle.iter() {
                         if slot >= proposed_next {
                             tracer.rec(Stage::Order, EventKind::Proposed, slot, r);
-                            for cmd in replica.proposed_batch(slot).unwrap_or_default() {
-                                tracer.rec(Stage::Order, EventKind::Batched, cmd.cmd_key(), slot);
-                            }
-                        }
-                    }
-                    for chunk in bundle.relays() {
-                        for cmd in chunk.commands() {
-                            let key = cmd.cmd_key();
-                            if relayed_seen.insert(key) {
-                                tracer.rec(Stage::Order, EventKind::Relayed, key, n as u64 - 1);
-                            }
                         }
                     }
                     if let Some(high) = bundle.max_slot() {
@@ -967,7 +887,6 @@ where
                     }
                 }
                 std::cmp::Ordering::Equal => {
-                    trace_merged(&env.msg, sender);
                     // An empty bundle (or claims we are past) does not
                     // start an idle round; it waits in the heard set.
                     idle &= !carries_work(&env.msg, commit_point);
@@ -1200,20 +1119,6 @@ where
             }
         }
 
-        if debug_pacing() && stats.rounds % 64 == 0 {
-            eprintln!(
-                "[node {me}] round {r}: applied {} slots {} queued {} deadline {:?} \
-                 (full {} timeout {} ff {})",
-                replica.applied_len(),
-                replica.committed_slots(),
-                replica.queued(),
-                deadline.current(),
-                stats.full_rounds,
-                stats.timeouts,
-                stats.fast_forwards,
-            );
-        }
-
         if stop_requested(hook, replica, cfg) {
             break;
         }
@@ -1248,12 +1153,6 @@ fn carries_work<V>(msg: &SmrMsg<V>, commit_point: u64) -> bool {
 fn decode_frame<M: Wire>(frame: &Bytes) -> Option<SyncFrame<M>> {
     let mut buf = frame.clone();
     SyncFrame::decode(&mut buf).ok()
-}
-
-/// Whether `GENCON_NODE_DEBUG` asks for per-node pacing traces on stderr.
-fn debug_pacing() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("GENCON_NODE_DEBUG").is_some())
 }
 
 #[cfg(test)]

@@ -266,16 +266,6 @@ impl<V: Value> BatchingReplica<V> {
         self.cap
     }
 
-    /// The commands this replica proposed for `slot`, while the slot is
-    /// still open (proposals are dropped once the slot commits or
-    /// compacts). Tracing reads this right after a round's send step to
-    /// stamp each drained command with the slot its batch was proposed
-    /// for.
-    #[must_use]
-    pub fn proposed_batch(&self, slot: crate::Slot) -> Option<&[V]> {
-        self.proposed.get(&slot).map(|b| b.commands())
-    }
-
     /// Slots this replica currently has an open proposal for, ascending.
     pub fn proposed_slots(&self) -> impl Iterator<Item = crate::Slot> + '_ {
         self.proposed.keys().copied()

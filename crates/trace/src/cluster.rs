@@ -14,7 +14,6 @@
 //! behind them, so every stitched span reports the worst contributing
 //! `±`. Same-node differences (quorum wait) are offset-free and exact.
 
-use crate::cmd::CmdSpan;
 use crate::span::SlotSpan;
 
 /// A mapping from one node's recorder clock into the monitor's
@@ -287,177 +286,6 @@ pub fn stitch_spans(inputs: &[NodeSpans]) -> Vec<ClusterSlotSpan> {
     out
 }
 
-/// One node's command spans plus the clock estimate that makes them
-/// mappable — the input unit of [`stitch_cmd_spans`].
-#[derive(Clone, Debug)]
-pub struct NodeCmdSpans {
-    /// The node id these spans came from.
-    pub node: u64,
-    /// How to map this node's timestamps into the monitor timebase.
-    pub clock: ClockEstimate,
-    /// The spans assembled from this node's command-scoped events.
-    pub spans: Vec<CmdSpan>,
-}
-
-/// One stitched relay leg: a command shipped out of `from`'s relay
-/// chunk and merged into `to`'s proposal stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CmdHop {
-    /// The node whose `Relayed` stamp starts the leg.
-    pub from: u64,
-    /// The node whose `RelayMerged` stamp ends it.
-    pub to: u64,
-    /// Mapped merge instant − mapped relay instant, clamped at 0 when
-    /// clock error pulls it negative. Cross-node, so read it ±
-    /// `uncertainty_us`.
-    pub latency_us: u64,
-    /// Worst clock uncertainty of the two endpoints.
-    pub uncertainty_us: u64,
-}
-
-/// A command's life across the cluster: where it entered, the relay
-/// legs it took, where it decided and was acked.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClusterCmdSpan {
-    /// The compact command id.
-    pub cmd: u64,
-    /// The node that recorded its `Submitted` (earliest mapped submit
-    /// wins if a retry hit several gateways).
-    pub origin: Option<u64>,
-    /// The node that released the client reply.
-    pub acked_on: Option<u64>,
-    /// The slot the command decided in, when any node learned it.
-    pub decided_slot: Option<u64>,
-    /// Stitched relay legs, ordered by receiving node.
-    pub hops: Vec<CmdHop>,
-    /// End-to-end latency. Same-clock (submit and ack on one gateway)
-    /// and therefore exact whenever the origin observed the ack;
-    /// otherwise mapped cross-node and only as sharp as
-    /// `uncertainty_us`.
-    pub e2e_us: Option<u64>,
-    /// Worst clock uncertainty among contributing nodes — every
-    /// cross-node figure above is only known to ± this many µs.
-    pub uncertainty_us: u64,
-}
-
-impl ClusterCmdSpan {
-    /// One JSON object, no trailing newline. Absent figures are
-    /// omitted; `uncertainty_us` and the hop list always appear.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"cmd\":{}", self.cmd);
-        let mut push = |name: &str, v: Option<u64>| {
-            if let Some(v) = v {
-                out.push_str(&format!(",\"{name}\":{v}"));
-            }
-        };
-        push("origin", self.origin);
-        push("acked_on", self.acked_on);
-        push("decided_slot", self.decided_slot);
-        push("e2e_us", self.e2e_us);
-        out.push_str(&format!(",\"uncertainty_us\":{}", self.uncertainty_us));
-        out.push_str(",\"hops\":[");
-        for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"from\":{},\"to\":{},\"latency_us\":{},\"uncertainty_us\":{}}}",
-                h.from, h.to, h.latency_us, h.uncertainty_us
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Joins per-node command spans by command id into
-/// [`ClusterCmdSpan`]s, ordered by command id, keeping only commands
-/// some node *submitted or acked* (a command seen only in transit
-/// cannot anchor a client-side story).
-///
-/// A relay leg is stitched when the *receiving* node recorded a
-/// `RelayMerged` naming a sender that also has the command's `Relayed`
-/// stamp in its own window: leg latency is the mapped difference,
-/// clamped at 0 (clock error can invert it — the per-leg
-/// `uncertainty_us` tells the tale rather than hiding it). Merges
-/// whose sender's window already wrapped are dropped, not guessed.
-#[must_use]
-pub fn stitch_cmd_spans(inputs: &[NodeCmdSpans]) -> Vec<ClusterCmdSpan> {
-    let mut cmds: Vec<u64> = inputs
-        .iter()
-        .flat_map(|n| n.spans.iter())
-        .filter(|s| s.submitted_ts_us.is_some() || s.acked_ts_us.is_some())
-        .map(|s| s.cmd)
-        .collect();
-    cmds.sort_unstable();
-    cmds.dedup();
-
-    fn find(node: &NodeCmdSpans, cmd: u64) -> Option<&CmdSpan> {
-        node.spans.iter().find(|s| s.cmd == cmd)
-    }
-    let mut out = Vec::with_capacity(cmds.len());
-    for cmd in cmds {
-        let mut span = ClusterCmdSpan {
-            cmd,
-            ..ClusterCmdSpan::default()
-        };
-        let mut submit: Option<(i64, u64, u64)> = None; // (mapped, node, raw e2e if acked here)
-        let mut ack_mapped: Option<i64> = None;
-        for node in inputs {
-            let Some(s) = find(node, cmd) else { continue };
-            span.uncertainty_us = span.uncertainty_us.max(node.clock.uncertainty_us);
-            if let Some(sub) = s.submitted_ts_us {
-                let mapped = node.clock.map(sub);
-                if submit.is_none_or(|(cur, _, _)| mapped < cur) {
-                    submit = Some((mapped, node.node, s.e2e_us.unwrap_or(u64::MAX)));
-                    span.origin = Some(node.node);
-                }
-            }
-            if let Some(ack) = s.acked_ts_us {
-                if span.acked_on.is_none() {
-                    span.acked_on = Some(node.node);
-                    ack_mapped = Some(node.clock.map(ack));
-                }
-            }
-            if span.decided_slot.is_none() {
-                span.decided_slot = s.slot;
-            }
-            // Stitch this node's merges back to their senders.
-            if let (Some(merged), Some(from)) = (s.merged_ts_us, s.merged_from) {
-                let sender = inputs.iter().find(|n| n.node == from);
-                let relayed = sender
-                    .and_then(|n| find(n, cmd))
-                    .and_then(|r| r.relayed_ts_us);
-                if let (Some(sender), Some(relayed)) = (sender, relayed) {
-                    let lat = node
-                        .clock
-                        .map(merged)
-                        .saturating_sub(sender.clock.map(relayed))
-                        .max(0) as u64;
-                    span.hops.push(CmdHop {
-                        from,
-                        to: node.node,
-                        latency_us: lat,
-                        uncertainty_us: node.clock.uncertainty_us.max(sender.clock.uncertainty_us),
-                    });
-                }
-            }
-        }
-        span.hops.sort_by_key(|h| (h.to, h.from));
-        span.e2e_us = match (submit, ack_mapped, span.origin, span.acked_on) {
-            // Submit and ack on the same node: the span's own e2e is
-            // same-clock and exact.
-            (Some((_, _, e2e)), _, Some(o), Some(a)) if o == a && e2e != u64::MAX => Some(e2e),
-            // Split across nodes: mapped difference, uncertainty applies.
-            (Some((sub, _, _)), Some(ack), _, _) => Some(ack.saturating_sub(sub).max(0) as u64),
-            _ => None,
-        };
-        out.push(span);
-    }
-    out
-}
-
 /// The `p`-th percentile (0–100, nearest-rank) of `values`; sorts in
 /// place. `None` on an empty slice.
 #[must_use]
@@ -587,121 +415,6 @@ mod tests {
         let json = stitched[0].to_json();
         assert!(json.contains("\"uncertainty_us\":77"), "{json}");
         assert!(json.contains("\"nodes\":[{\"node\":2"), "{json}");
-    }
-
-    #[test]
-    fn stitches_relay_hops_with_uncertainty() {
-        // Command 42 submitted (and acked) on node 1, relayed to the
-        // coordinator node 0, which merged and decided it.
-        let origin = NodeCmdSpans {
-            node: 1,
-            clock: ClockEstimate {
-                offset_us: 1_000,
-                uncertainty_us: 30,
-                ..ClockEstimate::default()
-            },
-            spans: vec![CmdSpan {
-                cmd: 42,
-                submitted_ts_us: Some(100),
-                relayed_ts_us: Some(150),
-                acked_ts_us: Some(900),
-                e2e_us: Some(800),
-                relay_hops: 1,
-                ..CmdSpan::default()
-            }],
-        };
-        let coordinator = NodeCmdSpans {
-            node: 0,
-            clock: ClockEstimate {
-                offset_us: -200,
-                uncertainty_us: 10,
-                ..ClockEstimate::default()
-            },
-            spans: vec![CmdSpan {
-                cmd: 42,
-                merged_ts_us: Some(1_750),
-                merged_from: Some(1),
-                slot: Some(7),
-                relay_hops: 1,
-                ..CmdSpan::default()
-            }],
-        };
-        let stitched = stitch_cmd_spans(&[coordinator, origin]);
-        assert_eq!(stitched.len(), 1);
-        let s = &stitched[0];
-        assert_eq!(s.cmd, 42);
-        assert_eq!(s.origin, Some(1));
-        assert_eq!(s.acked_on, Some(1));
-        assert_eq!(s.decided_slot, Some(7));
-        // Same-node submit/ack → the exact local e2e survives.
-        assert_eq!(s.e2e_us, Some(800));
-        assert_eq!(s.hops.len(), 1);
-        let h = s.hops[0];
-        assert_eq!((h.from, h.to), (1, 0));
-        // relayed maps to 150+1000 = 1150; merged to 1750-200 = 1550.
-        assert_eq!(h.latency_us, 400);
-        assert_eq!(h.uncertainty_us, 30, "worst endpoint uncertainty");
-        assert_eq!(s.uncertainty_us, 30);
-        let json = s.to_json();
-        assert!(json.contains("\"hops\":[{\"from\":1,\"to\":0"), "{json}");
-        assert!(json.contains("\"uncertainty_us\":30"), "{json}");
-    }
-
-    #[test]
-    fn unmatched_merges_and_clock_inversion_tolerated() {
-        // A merge whose sender window wrapped produces no hop; a clock
-        // estimate that inverts the leg clamps at 0 but keeps the ±.
-        let receiver = NodeCmdSpans {
-            node: 0,
-            clock: ClockEstimate::default(),
-            spans: vec![
-                CmdSpan {
-                    cmd: 1,
-                    submitted_ts_us: Some(10),
-                    merged_ts_us: Some(20),
-                    merged_from: Some(3), // node 3 not in inputs
-                    ..CmdSpan::default()
-                },
-                CmdSpan {
-                    cmd: 2,
-                    submitted_ts_us: Some(5),
-                    merged_ts_us: Some(30),
-                    merged_from: Some(1),
-                    ..CmdSpan::default()
-                },
-            ],
-        };
-        let sender = NodeCmdSpans {
-            node: 1,
-            clock: ClockEstimate {
-                offset_us: 500, // pushes the relay after the merge
-                uncertainty_us: 90,
-                ..ClockEstimate::default()
-            },
-            spans: vec![CmdSpan {
-                cmd: 2,
-                relayed_ts_us: Some(25),
-                ..CmdSpan::default()
-            }],
-        };
-        let stitched = stitch_cmd_spans(&[receiver, sender]);
-        assert_eq!(stitched.len(), 2);
-        assert!(stitched[0].hops.is_empty(), "no sender window, no hop");
-        let h = stitched[1].hops[0];
-        assert_eq!(h.latency_us, 0, "inverted leg clamps at 0");
-        assert_eq!(h.uncertainty_us, 90, "… but the ± is carried");
-        // A command seen only in transit anchors nothing.
-        let transit_only = NodeCmdSpans {
-            node: 2,
-            clock: ClockEstimate::default(),
-            spans: vec![CmdSpan {
-                cmd: 9,
-                relayed_ts_us: Some(1),
-                ..CmdSpan::default()
-            }],
-        };
-        assert!(stitch_cmd_spans(&[transit_only]).is_empty());
-        assert!(stitch_cmd_spans(&[]).is_empty());
     }
 
     #[test]

@@ -197,13 +197,19 @@ mod tests {
             })
         };
         let mut seen = 0u64;
-        while !writer.is_finished() {
+        // One read pass after the writer finished, so a writer that
+        // outruns the first pass still leaves pairs to check.
+        loop {
+            let done = writer.is_finished();
             for (applied, hash) in cell.recent() {
                 let head = u64::from_le_bytes(hash[..8].try_into().unwrap());
                 let tail = u64::from_le_bytes(hash[24..].try_into().unwrap());
                 assert_eq!(head, applied, "torn pair");
                 assert_eq!(tail, applied, "torn hash");
                 seen += 1;
+            }
+            if done {
+                break;
             }
         }
         writer.join().unwrap();

@@ -29,12 +29,6 @@
 //!   latency breakdowns (order / apply / persist / ack segments, with
 //!   queue-wait split from service time, plus quorum-formation marks
 //!   joined from the decide round), serialized as JSON lines.
-//! * [`assemble_cmd_spans`] — joins the command-scoped events
-//!   (`Submitted` … `CmdAcked`) with slot spans into per-command
-//!   [`CmdSpan`] breakdowns — where the *client's* latency went —
-//!   while [`SlowCmdRing`] retains top-K-by-e2e [`CmdExemplar`]s for
-//!   the admin `slowest` command, and [`stitch_cmd_spans`] maps relay
-//!   hops across nodes into [`ClusterCmdSpan`]s.
 //! * [`cluster`] — makes spans comparable *across* nodes: NTP-style
 //!   [`ClockEstimate`]s map each node's private recorder clock into a
 //!   shared timebase (uncertainty carried, not hidden), and
@@ -58,17 +52,12 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-mod cmd;
 mod hash;
 mod peer;
 mod ring;
 mod span;
 
-pub use cluster::{
-    percentile_us, stitch_cmd_spans, stitch_spans, ClockEstimate, ClusterCmdSpan, ClusterSlotSpan,
-    CmdHop, NodeCmdSpans, NodeSpans,
-};
-pub use cmd::{assemble_cmd_spans, CmdExemplar, CmdSpan, SlowCmdRing};
+pub use cluster::{percentile_us, stitch_spans, ClockEstimate, ClusterSlotSpan, NodeSpans};
 pub use hash::{hash_hex, HashCell};
 pub use peer::{PeerRow, PeerTable};
 pub use ring::{EventKind, FlightRecorder, Stage, TraceEvent, Tracer};

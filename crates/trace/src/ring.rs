@@ -117,31 +117,6 @@ pub enum EventKind {
     /// whose message completed it; this node's own id when buffered
     /// frames already held a quorum at round entry).
     QuorumReached,
-    /// A client command arrived at the gateway's submission drain
-    /// (`slot` = the compact command id, `detail` = the source
-    /// connection id). Command-scoped kinds reuse the `slot` field for
-    /// the command id; `assemble_cmd_spans` joins them back to slots
-    /// through [`EventKind::CmdAcked`]'s detail.
-    Submitted,
-    /// The command entered the replica's proposal queue (`slot` = cmd
-    /// id, `detail` = queue depth after the submit).
-    CmdQueued,
-    /// The command was drained from the queue into a batch this node
-    /// proposed (`slot` = cmd id, `detail` = the consensus slot the
-    /// batch was proposed for).
-    Batched,
-    /// The command left this node inside an outgoing relay chunk
-    /// (`slot` = cmd id, `detail` = the number of peers it went to).
-    Relayed,
-    /// The command arrived inside a peer's relay chunk (`slot` = cmd
-    /// id, `detail` = the sending peer's id).
-    RelayMerged,
-    /// The command bounced back to its client (`slot` = cmd id,
-    /// `detail` = 0 for backpressure, 1 for redirect).
-    Bounced,
-    /// The command's committed reply was released to the client
-    /// (`slot` = cmd id, `detail` = the consensus slot it decided in).
-    CmdAcked,
 }
 
 impl EventKind {
@@ -167,13 +142,6 @@ impl EventKind {
             17 => EventKind::PeerReEnrolled,
             18 => EventKind::HeardFrom,
             19 => EventKind::QuorumReached,
-            20 => EventKind::Submitted,
-            21 => EventKind::CmdQueued,
-            22 => EventKind::Batched,
-            23 => EventKind::Relayed,
-            24 => EventKind::RelayMerged,
-            25 => EventKind::Bounced,
-            26 => EventKind::CmdAcked,
             _ => return None,
         })
     }
@@ -202,13 +170,6 @@ impl EventKind {
             EventKind::PeerReEnrolled => "peer_re_enrolled",
             EventKind::HeardFrom => "heard_from",
             EventKind::QuorumReached => "quorum_reached",
-            EventKind::Submitted => "submitted",
-            EventKind::CmdQueued => "cmd_queued",
-            EventKind::Batched => "batched",
-            EventKind::Relayed => "relayed",
-            EventKind::RelayMerged => "relay_merged",
-            EventKind::Bounced => "bounced",
-            EventKind::CmdAcked => "cmd_acked",
         }
     }
 }
@@ -525,13 +486,6 @@ mod tests {
             EventKind::PeerReEnrolled,
             EventKind::HeardFrom,
             EventKind::QuorumReached,
-            EventKind::Submitted,
-            EventKind::CmdQueued,
-            EventKind::Batched,
-            EventKind::Relayed,
-            EventKind::RelayMerged,
-            EventKind::Bounced,
-            EventKind::CmdAcked,
         ];
         let rec = FlightRecorder::new(stages.len() * kinds.len());
         for stage in stages {

@@ -38,4 +38,4 @@ pub use batch::Batch;
 pub use config::{Config, ConfigError};
 pub use process::{ProcessId, ProcessSet, ProcessSetIter, MAX_PROCESSES};
 pub use round::{Phase, Round, RoundKind};
-pub use value::{decode_cmd, encode_cmd, CmdKey, Value};
+pub use value::{decode_cmd, encode_cmd, Value};

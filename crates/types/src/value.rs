@@ -26,25 +26,6 @@ pub trait Value: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {}
 
 impl<T> Value for T where T: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {}
 
-/// A command that carries a compact, client-namespaced tracing id.
-///
-/// The per-command trace (`gencon-trace`'s `Submitted`…`CmdAcked`
-/// events) keys every stamp by a `u64` so the hot path never hashes or
-/// serialises the command itself. Client-side id construction
-/// ([`encode_cmd`]) already packs `(namespace, client, seq)` into a
-/// unique `u64`; command types simply expose it here. For plain `u64`
-/// commands the command *is* its own key.
-pub trait CmdKey {
-    /// The compact id trace events are keyed by.
-    fn cmd_key(&self) -> u64;
-}
-
-impl CmdKey for u64 {
-    fn cmd_key(&self) -> u64 {
-        *self
-    }
-}
-
 /// Encodes a command id: 16 bits namespace (one per client process, so
 /// concurrent clients never collide), 16 bits client, 32 bits sequence.
 #[must_use]
