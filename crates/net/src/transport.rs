@@ -99,17 +99,13 @@ pub trait Transport: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(ProcessId, Bytes)>;
 
     /// Detaches the receive side so a consumer can drain (and wake) it
-    /// while this transport keeps sending. Transports without a separable
-    /// inbox return `None` (the default) and callers fall back to
-    /// [`Transport::recv_timeout`].
-    fn split_recv(&mut self) -> Option<RecvHalf> {
-        None
-    }
+    /// while this transport keeps sending. The SMR node's order loop
+    /// receives only through this half and refuses a transport that
+    /// returns `None`.
+    fn split_recv(&mut self) -> Option<RecvHalf>;
 
     /// Reattaches a half taken by [`Transport::split_recv`].
-    fn restore_recv(&mut self, half: RecvHalf) {
-        let _ = half;
-    }
+    fn restore_recv(&mut self, half: RecvHalf);
 }
 
 /// Swaps `inbox` with a receiver whose sender is dropped immediately, so

@@ -3,17 +3,15 @@
 //! and acks commands — with the application's reply payload — once they
 //! commit.
 //!
-//! The gateway is a [`NodeHook`] split across three stages:
+//! The gateway is a [`NodeHook`] split across two stages:
 //!
 //! ```text
 //!   conn readers ──▶ submissions queue ──▶ ORDER (node event loop)
-//!        └──────── wake-up (idle loop) ───────▲  │ applied-log deltas
+//!        └──────── wake-up (idle loop) ───────▲  │ inflight/retry notes,
+//!                                              │  │ applied-log deltas
 //!                                              ▼
-//!                                           APPLY thread ── replies ──┐
-//!                                              │                      ▼
-//!                    ORDER ── inflight/retry notes ─────────────▶  ACK thread
-//!                                                                     │
-//!                                              client sockets ◀───────┘
+//!                            client sockets ◀── DELIVERY thread
+//!                                               (apply, then ack)
 //! ```
 //!
 //! * the connection readers queue each submission and ring the order
@@ -25,27 +23,27 @@
 //!   enqueued) once the pending queue exceeds its limit, and
 //!   **redirecting** every submission when the server is configured as a
 //!   non-accepting follower — and ships each round's newly applied log
-//!   suffix to the apply stage. It never touches a socket and never
+//!   suffix to the delivery stage. It never touches a socket and never
 //!   fsyncs: consensus rounds are not gated on either;
-//! * the **apply** stage walks shipped deltas through the live
+//! * the **delivery** stage walks shipped deltas through the live
 //!   [`Applier`] — producing each command's [`App::Reply`] the moment it
-//!   flattens — and forwards `(cmd, slot, offset, reply)` entries to the
-//!   ack stage. Application is ungated by durability: deterministic
-//!   replay carries no durability promise;
-//! * the **ack** stage owns all client-visible bookkeeping (inflight
-//!   map, pending acks, re-ack index) and the sockets. Under durable-ack
-//!   it parks entries until the durable watermark published by the
-//!   persist stage passes the command's offset, so an acked command is
-//!   one a crash cannot lose.
+//!   flattens — and owns all client-visible bookkeeping (inflight map,
+//!   pending acks, re-ack index) and the sockets. Application is ungated
+//!   by durability: deterministic replay carries no durability promise.
+//!   Under durable-ack the stage parks each reply until the durable
+//!   watermark published by the persist stage passes the command's
+//!   offset, so an acked command is one a crash cannot lose.
 //!
-//! Stage channels are bounded; a full channel blocks the producer (acks
-//! are never dropped — blocking *is* the backpressure). Since both
-//! producer notes for one command flow through the same ack channel in
-//! FIFO order, an inflight note always precedes its commit entry.
+//! Delivery is one FIFO: the order thread sends a command's inflight note
+//! when it submits the command, before any round can commit it, so the
+//! note is always handled before the delta that applies it. The channel
+//! is bounded; a full channel blocks the order thread (acks are never
+//! dropped — blocking *is* the backpressure).
 //!
 //! Two protections keep one client from hurting the rest: ack writes run
 //! under a short write timeout (a client that stops reading gets its
-//! connection dropped instead of wedging the ack stage), and retried
+//! connection dropped instead of wedging the delivery stage — which would
+//! stall application and every other client's acks with it), and retried
 //! submissions of already-committed commands are re-acked from the
 //! gateway's commit index (the replica's dedup would otherwise swallow
 //! them silently). After a state-transfer jump the index is seeded from
@@ -75,11 +73,11 @@ use crate::protocol::{read_frame, write_frame, ClientRequest, ClientResponse};
 /// Shared writer registry: connection id → writer half of the socket.
 type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
-/// Capacity of the order→apply and →ack stage channels. A full channel
-/// blocks the producer: deltas and ack notes are never dropped.
+/// Capacity of the order→delivery channel. A full channel blocks the
+/// producer: deltas and ack notes are never dropped.
 pub const STAGE_QUEUE_CAP: usize = 1024;
 
-/// Ack-stage poll interval: how often the durable watermark is re-read
+/// Delivery poll interval: how often the durable watermark is re-read
 /// while acks are parked behind it and no messages arrive (the release
 /// latency floor under durable-ack). With nothing parked the stage
 /// blocks on its channel instead.
@@ -99,7 +97,7 @@ pub struct GatewayConfig {
     /// [`ClientResponse::Redirect`] to this process (follower mode).
     pub redirect_to: Option<ProcessId>,
     /// Ack writes block at most this long; a client that stops reading
-    /// is disconnected rather than allowed to stall the ack stage.
+    /// is disconnected rather than allowed to stall the delivery stage.
     pub write_timeout: std::time::Duration,
     /// Commands kept in the re-ack index (retries of already-committed
     /// submissions are answered from it). Oldest entries are evicted
@@ -120,31 +118,10 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Order→apply stage messages.
-enum ApplyMsg<A: App> {
-    /// Newly flattened `(cmd, slot, offset)` log entries, in offset order.
-    Delta(Vec<(A::Cmd, u64, u64)>),
-    /// A state transfer replaced the log; restore the live app from the
-    /// transferred fold.
-    Restore(Box<FoldedState<A::Cmd>>),
-    /// Rendezvous: forwarded to the ack stage once every prior delta has
-    /// been applied, answered there once every prior ack note is handled.
-    Barrier(Sender<()>),
-}
-
-/// Notes flowing into the ack stage — from the order side (submission
-/// outcomes) and the apply side (commit entries with replies). One
-/// channel, FIFO: an `Inflight` note always precedes its `Entry`.
-enum AckMsg<A: App> {
+/// Order→delivery messages, on one FIFO channel.
+enum StageMsg<A: App> {
     /// A fresh local submission was enqueued: remember who to answer.
     Inflight { cmd: A::Cmd, conn: u64 },
-    /// A command flattened and was applied; ack once durable.
-    Entry {
-        cmd: A::Cmd,
-        slot: u64,
-        offset: u64,
-        reply: A::Reply,
-    },
     /// The replica's dedup swallowed a resubmission. Re-ack from the
     /// commit index, adopt the new connection if the command is still
     /// inflight, bounce with `fallback` if one is given (redirect /
@@ -158,6 +135,12 @@ enum AckMsg<A: App> {
     /// dedup window — replies were computed on another node and are
     /// unavailable; retries are answered with `reply: None`.
     KnownCommitted(Vec<(A::Cmd, u64)>),
+    /// Newly flattened `(cmd, slot, offset)` log entries, in offset
+    /// order: apply each, then ack it once durable.
+    Delta(Vec<(A::Cmd, u64, u64)>),
+    /// A state transfer replaced the log; restore the live app from the
+    /// transferred fold.
+    Restore(Box<FoldedState<A::Cmd>>),
     /// Rendezvous: release everything releasable, then answer.
     Barrier(Sender<()>),
 }
@@ -166,8 +149,8 @@ enum AckMsg<A: App> {
 #[derive(Clone)]
 struct GatewayMeters {
     applied: Counter,
-    /// Depth sampled on every enqueue and dequeue (histogram, so its
-    /// p99 is meaningful), plus a last-value gauge for live status.
+    /// Depth sampled on every delta enqueue and dequeue (histogram, so
+    /// its p99 is meaningful), plus a last-value gauge for live status.
     apply_depth: Histogram,
     apply_depth_now: Gauge,
     acked: Counter,
@@ -194,14 +177,6 @@ impl GatewayMeters {
     }
 }
 
-/// Handles + channels of the spawned apply/ack stages.
-struct GatewayStages<A: App> {
-    apply_tx: Sender<ApplyMsg<A>>,
-    ack_tx: Sender<AckMsg<A>>,
-    apply_handle: std::thread::JoinHandle<()>,
-    ack_handle: std::thread::JoinHandle<()>,
-}
-
 /// The client-facing service half of a `gencon-server` node, running
 /// application `A` over the replicated log.
 pub struct ClientGateway<A: App> {
@@ -211,26 +186,19 @@ pub struct ClientGateway<A: App> {
     /// `before_round`, which always runs on the order thread.
     waker: Arc<Mutex<Option<Waker>>>,
     conns: Conns,
-    /// The live application, owned by the apply stage once spawned. The
-    /// order side only locks it at spawn (cursor seed) and on behalf of
-    /// [`applier`](ClientGateway::applier) callers.
+    /// The live application, owned by the delivery stage once spawned.
+    /// The order side only locks it at spawn (cursor seed) and on behalf
+    /// of [`applier`](ClientGateway::applier) callers.
     applier: Arc<Mutex<Applier<A>>>,
     /// Absolute log offset up to which deltas have been shipped to the
-    /// apply stage.
+    /// delivery stage.
     applied_seen: u64,
-    /// Apply/ack stage threads, spawned lazily on the first hook call
-    /// (so builders like [`with_applier`](ClientGateway::with_applier)
-    /// run before any stage captures state).
-    stages: Option<GatewayStages<A>>,
-    /// Submissions bounced (backpressure or redirect) so far.
-    bounced: Arc<AtomicU64>,
-    /// Parked acks dropped because the pending queue hit its bound (a
-    /// persistently stalled durable gate — e.g. a failing disk — must
-    /// not grow memory without limit; the dropped commands are committed
-    /// and safe, their clients just never hear back, exactly as under a
-    /// stalled gate in general).
-    acks_dropped: Arc<AtomicU64>,
-    /// Mirror of the ack stage's inflight-map size.
+    /// The delivery stage's channel and thread, spawned lazily on the
+    /// first hook call (so builders like
+    /// [`with_applier`](ClientGateway::with_applier) run before the
+    /// stage captures state).
+    stage: Option<(Sender<StageMsg<A>>, std::thread::JoinHandle<()>)>,
+    /// Mirror of the delivery stage's inflight-map size.
     inflight_count: Arc<AtomicUsize>,
     /// Durable-ack watermark: when set, commands at absolute log offsets
     /// at or past the gate are **applied but not acked** yet — their
@@ -293,9 +261,7 @@ impl<A: App> ClientGateway<A> {
             conns,
             applier: Arc::new(Mutex::new(Applier::default())),
             applied_seen: 0,
-            stages: None,
-            bounced: Arc::new(AtomicU64::new(0)),
-            acks_dropped: Arc::new(AtomicU64::new(0)),
+            stage: None,
             inflight_count: Arc::new(AtomicUsize::new(0)),
             ack_gate: None,
             hash_cell: None,
@@ -321,17 +287,17 @@ impl<A: App> ClientGateway<A> {
     /// [`recover_replica`](crate::recover_replica), seed the gateway with
     /// an applier resumed from the recovered fold so replies and state
     /// hashes continue where the previous process left off. Must run
-    /// before the first round (the apply stage seeds its shipping cursor
-    /// from the applier when it spawns).
+    /// before the first round (the delivery stage seeds its shipping
+    /// cursor from the applier when it spawns).
     #[must_use]
     pub fn with_applier(mut self, applier: Applier<A>) -> ClientGateway<A> {
         self.applier = Arc::new(Mutex::new(applier));
         self
     }
 
-    /// Registers the gateway's per-stage meters (`apply.*`, `ack.*`) in
-    /// `reg`. Must run before the first round — the stage threads capture
-    /// their meter handles when they spawn.
+    /// Registers the gateway's meters (`apply.*`, `ack.*`) in `reg`.
+    /// Must run before the first round — the delivery stage captures its
+    /// meter handles when it spawns.
     #[must_use]
     pub fn with_metrics(mut self, reg: &Registry) -> ClientGateway<A> {
         self.meters = GatewayMeters::new(reg);
@@ -362,7 +328,7 @@ impl<A: App> ClientGateway<A> {
     }
 
     /// The live applier (cursor, app state, captured hash). Shared with
-    /// the apply stage — don't hold the guard across waits; call
+    /// the delivery stage — don't hold the guard across waits; call
     /// [`drain`](ClientGateway::drain) first for a quiesced view.
     pub fn applier(&self) -> parking_lot::MutexGuard<'_, Applier<A>> {
         self.applier.lock()
@@ -383,14 +349,14 @@ impl<A: App> ClientGateway<A> {
     /// Submissions bounced so far (backpressure or redirect).
     #[must_use]
     pub fn bounced(&self) -> u64 {
-        self.bounced.load(Ordering::Relaxed)
+        self.bounced_backpressure() + self.bounced_redirect()
     }
 
     /// Parked acks dropped at the pending-queue bound (only a stalled
     /// durable gate can make this nonzero).
     #[must_use]
     pub fn acks_dropped(&self) -> u64 {
-        self.acks_dropped.load(Ordering::Relaxed)
+        self.meters.dropped.get()
     }
 
     /// Submissions bounced with `Backpressure` so far.
@@ -410,43 +376,24 @@ impl<A: App> ClientGateway<A> {
     /// shutdown/rendezvous barrier ([`NodeHook::finish`] calls it, tests
     /// use it before asserting on applier or ack state).
     pub fn drain(&mut self) {
-        let Some(stages) = &self.stages else {
-            return;
-        };
         let (done_tx, done_rx) = channel::unbounded();
-        if stages.apply_tx.send(ApplyMsg::Barrier(done_tx)).is_ok() {
+        if self.ship(StageMsg::Barrier(done_tx)) {
             let _ = done_rx.recv();
         }
     }
 
-    /// Spawns the apply + ack stage threads on first use.
-    fn ensure_stages(&mut self) {
-        if self.stages.is_some() {
+    /// Spawns the delivery stage thread on first use.
+    fn ensure_stage(&mut self) {
+        if self.stage.is_some() {
             return;
         }
         // The applier's cursor is the ship-from point: after recovery it
         // already covers the recovered prefix (fold + replayed tail).
         self.applied_seen = self.applier.lock().cursor();
-        let (apply_tx, apply_rx) = channel::bounded(STAGE_QUEUE_CAP);
-        let (ack_tx, ack_rx) = channel::bounded(STAGE_QUEUE_CAP);
-
-        let applier = Arc::clone(&self.applier);
-        let apply_ack_tx = ack_tx.clone();
-        let apply_meters = self.meters.clone();
-        let apply_tracer = self.tracer.clone();
-        let apply_hash = self.hash_cell.clone();
-        let apply_handle = std::thread::spawn(move || {
-            apply_loop::<A>(
-                &applier,
-                &apply_rx,
-                &apply_ack_tx,
-                &apply_meters,
-                &apply_tracer,
-                apply_hash.as_ref(),
-            );
-        });
-
-        let state = AckState::<A> {
+        let (tx, rx) = channel::bounded(STAGE_QUEUE_CAP);
+        let stage = Delivery::<A> {
+            applier: Arc::clone(&self.applier),
+            hash: self.hash_cell.clone(),
             conns: Arc::clone(&self.conns),
             cfg: self.cfg,
             gate: self.ack_gate.clone(),
@@ -455,52 +402,34 @@ impl<A: App> ClientGateway<A> {
             index: HashMap::new(),
             index_order: VecDeque::new(),
             parked: HashMap::new(),
-            bounced: Arc::clone(&self.bounced),
-            acks_dropped: Arc::clone(&self.acks_dropped),
             inflight_count: Arc::clone(&self.inflight_count),
             m: self.meters.clone(),
             t: self.tracer.clone(),
         };
-        let ack_handle = std::thread::spawn(move || state.run(&ack_rx));
-
-        self.stages = Some(GatewayStages {
-            apply_tx,
-            ack_tx,
-            apply_handle,
-            ack_handle,
-        });
+        let handle = std::thread::spawn(move || stage.run(&rx));
+        self.stage = Some((tx, handle));
     }
 
-    /// Ships to the apply stage, blocking when the channel is full.
-    fn ship_apply(&self, msg: ApplyMsg<A>) {
-        if let Some(stages) = &self.stages {
-            let _ = stages.apply_tx.send(msg);
-        }
+    /// Messages waiting in the delivery stage's channel.
+    fn queue_depth(&self) -> u64 {
+        self.stage.as_ref().map_or(0, |(tx, _)| tx.len() as u64)
     }
 
-    /// Ships to the ack stage, blocking when the channel is full.
-    fn ship_ack(&self, msg: AckMsg<A>) {
-        if let Some(stages) = &self.stages {
-            let _ = stages.ack_tx.send(msg);
-        }
+    /// Ships to the delivery stage, blocking when the channel is full;
+    /// `false` if no stage is running.
+    fn ship(&self, msg: StageMsg<A>) -> bool {
+        self.stage
+            .as_ref()
+            .is_some_and(|(tx, _)| tx.send(msg).is_ok())
     }
 }
 
 impl<A: App> Drop for ClientGateway<A> {
     fn drop(&mut self) {
-        if let Some(stages) = self.stages.take() {
-            let GatewayStages {
-                apply_tx,
-                ack_tx,
-                apply_handle,
-                ack_handle,
-            } = stages;
-            // Closing the senders lets both loops observe disconnect;
-            // the apply thread's ack sender clone drops when it exits.
-            drop(apply_tx);
-            drop(ack_tx);
-            let _ = apply_handle.join();
-            let _ = ack_handle.join();
+        if let Some((tx, handle)) = self.stage.take() {
+            // Closing the sender lets the stage observe disconnect.
+            drop(tx);
+            let _ = handle.join();
         }
     }
 }
@@ -528,80 +457,6 @@ fn conn_reader<A: App>(
     }
 }
 
-/// The apply stage: walks shipped deltas through the live applier and
-/// forwards each entry — with its computed reply — to the ack stage.
-fn apply_loop<A: App>(
-    applier: &Mutex<Applier<A>>,
-    rx: &Receiver<ApplyMsg<A>>,
-    ack_tx: &Sender<AckMsg<A>>,
-    m: &GatewayMeters,
-    t: &Tracer,
-    hash: Option<&(HashCell, u64)>,
-) {
-    // Publish `(applied, state_hash)` at exact applied-count multiples
-    // of `every` — every node then publishes for the same counts, which
-    // is what makes the pairs comparable across the cluster.
-    let maybe_publish = |applier: &Applier<A>| {
-        if let Some((cell, every)) = hash {
-            let cursor = applier.cursor();
-            if cursor > 0 && cursor.is_multiple_of(*every) {
-                cell.publish(cursor, applier.app().state_hash());
-            }
-        }
-    };
-    while let Ok(msg) = rx.recv() {
-        m.apply_depth.record(rx.len() as u64);
-        m.apply_depth_now.set(rx.len() as u64);
-        match msg {
-            ApplyMsg::Delta(entries) => {
-                let mut applier = applier.lock();
-                let mut last_traced_slot = u64::MAX;
-                for (cmd, slot, offset) in entries {
-                    let svc_start = t.now_us();
-                    let reply = applier.apply(slot, &cmd);
-                    maybe_publish(&applier);
-                    m.applied.inc();
-                    // One `applied` event per slot (the first command's
-                    // service time stands in for the slot).
-                    if t.enabled() && slot != last_traced_slot {
-                        last_traced_slot = slot;
-                        t.rec(
-                            Stage::Apply,
-                            EventKind::Applied,
-                            slot,
-                            t.now_us().saturating_sub(svc_start),
-                        );
-                    }
-                    if ack_tx
-                        .send(AckMsg::Entry {
-                            cmd,
-                            slot,
-                            offset,
-                            reply,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-            ApplyMsg::Restore(fs) => {
-                let mut applier = applier.lock();
-                if let Err(e) = applier.restore(&fs) {
-                    eprintln!("[gateway] live app restore failed: {e}");
-                } else {
-                    // A restore that lands exactly on a boundary stands
-                    // in for the applies it skipped.
-                    maybe_publish(&applier);
-                }
-            }
-            ApplyMsg::Barrier(done) => {
-                let _ = ack_tx.send(AckMsg::Barrier(done));
-            }
-        }
-    }
-}
-
 /// Commit coordinates (`slot`, `offset`) and the reply (if computed
 /// locally) kept per command for re-acking retries.
 type ReackIndex<A> = HashMap<<A as App>::Cmd, (u64, u64, Option<<A as App>::Reply>)>;
@@ -609,9 +464,11 @@ type ReackIndex<A> = HashMap<<A as App>::Cmd, (u64, u64, Option<<A as App>::Repl
 /// An applied-but-unacked entry: `(cmd, slot, offset, reply, enq_us)`.
 type PendingAck<A> = (<A as App>::Cmd, u64, u64, <A as App>::Reply, u64);
 
-/// The ack stage's working state: owns the sockets and every piece of
-/// client-visible bookkeeping.
-struct AckState<A: App> {
+/// The delivery stage's working state: owns the live applier's hot path,
+/// the sockets and every piece of client-visible bookkeeping.
+struct Delivery<A: App> {
+    applier: Arc<Mutex<Applier<A>>>,
+    hash: Option<(HashCell, u64)>,
     conns: Conns,
     cfg: GatewayConfig,
     gate: Option<Arc<AtomicU64>>,
@@ -620,7 +477,7 @@ struct AckState<A: App> {
     /// Applied but not yet acked `(cmd, slot, offset, reply, enq_us)` —
     /// drained in offset order as the durable watermark advances
     /// (immediately, without a gate). `enq_us` is the tracer timestamp
-    /// at arrival, so the released `acked` event carries the gate-wait.
+    /// at apply, so the released `acked` event carries the gate-wait.
     pending: VecDeque<PendingAck<A>>,
     /// Commit coordinates and replies of recently acked commands, for
     /// re-acking client retries of already-committed submissions. The
@@ -632,17 +489,15 @@ struct AckState<A: App> {
     index_order: VecDeque<A::Cmd>,
     /// Retries of commands neither committed nor locally inflight —
     /// typically committed below a state-transfer jump — parked until a
-    /// `KnownCommitted` or released `Entry` surfaces them.
+    /// `KnownCommitted` or released entry surfaces them.
     parked: HashMap<A::Cmd, Vec<u64>>,
-    bounced: Arc<AtomicU64>,
-    acks_dropped: Arc<AtomicU64>,
     inflight_count: Arc<AtomicUsize>,
     m: GatewayMeters,
     t: Tracer,
 }
 
-impl<A: App> AckState<A> {
-    fn run(mut self, rx: &Receiver<AckMsg<A>>) {
+impl<A: App> Delivery<A> {
+    fn run(mut self, rx: &Receiver<StageMsg<A>>) {
         loop {
             let msg = if self.pending.is_empty() {
                 rx.recv()
@@ -650,7 +505,13 @@ impl<A: App> AckState<A> {
                 rx.recv_timeout(ACK_POLL)
             };
             match msg {
-                Ok(msg) => self.handle(msg),
+                Ok(msg) => {
+                    if matches!(msg, StageMsg::Delta(_)) {
+                        self.m.apply_depth.record(rx.len() as u64);
+                        self.m.apply_depth_now.set(rx.len() as u64);
+                    }
+                    self.handle(msg);
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     self.release();
@@ -661,9 +522,9 @@ impl<A: App> AckState<A> {
         }
     }
 
-    fn handle(&mut self, msg: AckMsg<A>) {
+    fn handle(&mut self, msg: StageMsg<A>) {
         match msg {
-            AckMsg::Inflight { cmd, conn } => {
+            StageMsg::Inflight { cmd, conn } => {
                 if self.reack(&cmd, conn) {
                     return; // raced past its own commit (belt & braces)
                 }
@@ -671,32 +532,7 @@ impl<A: App> AckState<A> {
                     self.inflight_count.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            AckMsg::Entry {
-                cmd,
-                slot,
-                offset,
-                reply,
-            } => {
-                self.pending
-                    .push_back((cmd, slot, offset, reply, self.t.now_us()));
-                // Bound the parked acks: under a healthy gate the queue
-                // drains every group-commit window, but a gate that
-                // stops advancing (failing disk) must not grow memory
-                // with throughput forever. The *newest* entries are
-                // dropped — the oldest are the next to become durable.
-                // A dropped command is still committed, and its
-                // coordinates go straight into the (equally bounded)
-                // re-ack index so a client retry after the gate recovers
-                // gets answered instead of being swallowed by the
-                // replica's dedup.
-                while self.pending.len() > self.cfg.reack_index_cap {
-                    let (cmd, slot, offset, reply, _) = self.pending.pop_back().expect("over cap");
-                    self.acks_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.m.dropped.inc();
-                    self.index_committed(cmd, slot, offset, Some(reply));
-                }
-            }
-            AckMsg::Retry {
+            StageMsg::Retry {
                 cmd,
                 conn,
                 fallback,
@@ -711,7 +547,6 @@ impl<A: App> AckState<A> {
                     return;
                 }
                 if let Some(resp) = fallback {
-                    self.bounced.fetch_add(1, Ordering::Relaxed);
                     if matches!(resp, ClientResponse::Redirect { .. }) {
                         self.m.bounced_redirect.inc();
                     } else {
@@ -728,7 +563,7 @@ impl<A: App> AckState<A> {
                     self.m.parked.inc();
                 }
             }
-            AckMsg::KnownCommitted(pairs) => {
+            StageMsg::KnownCommitted(pairs) => {
                 for (cmd, slot) in pairs {
                     // The transferred fold knows the commit slot but not
                     // the reply — don't clobber a richer local entry.
@@ -752,7 +587,41 @@ impl<A: App> AckState<A> {
                     }
                 }
             }
-            AckMsg::Barrier(done) => {
+            StageMsg::Delta(entries) => {
+                let applier = Arc::clone(&self.applier);
+                let mut applier = applier.lock();
+                let mut last_traced_slot = u64::MAX;
+                for (cmd, slot, offset) in entries {
+                    let svc_start = self.t.now_us();
+                    let reply = applier.apply(slot, &cmd);
+                    publish_hash(self.hash.as_ref(), &*applier);
+                    self.m.applied.inc();
+                    // One `applied` event per slot (the first command's
+                    // service time stands in for the slot).
+                    let now_us = self.t.now_us();
+                    if self.t.enabled() && slot != last_traced_slot {
+                        last_traced_slot = slot;
+                        self.t.rec(
+                            Stage::Apply,
+                            EventKind::Applied,
+                            slot,
+                            now_us.saturating_sub(svc_start),
+                        );
+                    }
+                    self.pending.push_back((cmd, slot, offset, reply, now_us));
+                }
+            }
+            StageMsg::Restore(fs) => {
+                let mut applier = self.applier.lock();
+                if let Err(e) = applier.restore(&fs) {
+                    eprintln!("[gateway] live app restore failed: {e}");
+                } else {
+                    // A restore that lands exactly on a boundary stands
+                    // in for the applies it skipped.
+                    publish_hash(self.hash.as_ref(), &*applier);
+                }
+            }
+            StageMsg::Barrier(done) => {
                 self.release();
                 let _ = done.send(());
             }
@@ -760,7 +629,8 @@ impl<A: App> AckState<A> {
     }
 
     /// Releases pending acks in offset order up to the durable watermark
-    /// (everything, when no gate is installed).
+    /// (everything, when no gate is installed), then bounds what stays
+    /// parked.
     fn release(&mut self) {
         let gate = self
             .gate
@@ -810,6 +680,19 @@ impl<A: App> AckState<A> {
                     self.m.reacks.inc();
                 }
             }
+        }
+        // Bound the parked acks: under a healthy gate the queue drains
+        // every group-commit window, but a gate that stops advancing
+        // (failing disk) must not grow memory with throughput forever.
+        // The *newest* entries are dropped — the oldest are the next to
+        // become durable. A dropped command is still committed, and its
+        // coordinates go straight into the (equally bounded) re-ack index
+        // so a client retry after the gate recovers gets answered instead
+        // of being swallowed by the replica's dedup.
+        while self.pending.len() > self.cfg.reack_index_cap {
+            let (cmd, slot, offset, reply, _) = self.pending.pop_back().expect("over cap");
+            self.m.dropped.inc();
+            self.index_committed(cmd, slot, offset, Some(reply));
         }
     }
 
@@ -863,9 +746,21 @@ impl<A: App> AckState<A> {
     }
 }
 
+/// Publishes `(applied, state_hash)` at exact applied-count multiples of
+/// `every` — every node then publishes for the same counts, which is what
+/// makes the pairs comparable across the cluster.
+fn publish_hash<A: App>(hash: Option<&(HashCell, u64)>, applier: &Applier<A>) {
+    if let Some((cell, every)) = hash {
+        let cursor = applier.cursor();
+        if cursor > 0 && cursor.is_multiple_of(*every) {
+            cell.publish(cursor, applier.app().state_hash());
+        }
+    }
+}
+
 impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
     fn before_round(&mut self, _round: u64, replica: &mut BatchingReplica<A::Cmd>) {
-        self.ensure_stages();
+        self.ensure_stage();
         {
             let mut current = self.waker.lock();
             if let Some(w) = crate::node::published_waker(current.as_ref()) {
@@ -874,10 +769,10 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
         }
         while let Ok((conn_id, cmd)) = self.submissions.try_recv() {
             if let Some(to) = self.cfg.redirect_to {
-                // The ack stage checks its commit index before bouncing:
-                // a retry of a committed command is re-acked, not
-                // redirected.
-                self.ship_ack(AckMsg::Retry {
+                // The delivery stage checks its commit index before
+                // bouncing: a retry of a committed command is re-acked,
+                // not redirected.
+                self.ship(StageMsg::Retry {
                     cmd: cmd.clone(),
                     conn: conn_id,
                     fallback: Some(ClientResponse::Redirect { cmd, to }),
@@ -886,7 +781,7 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
             }
             if replica.queued() >= self.cfg.backpressure_limit {
                 let queued = replica.queued() as u64;
-                self.ship_ack(AckMsg::Retry {
+                self.ship(StageMsg::Retry {
                     cmd: cmd.clone(),
                     conn: conn_id,
                     fallback: Some(ClientResponse::Backpressure { cmd, queued }),
@@ -894,12 +789,12 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
                 continue;
             }
             if replica.submit(cmd.clone()) {
-                self.ship_ack(AckMsg::Inflight { cmd, conn: conn_id });
+                self.ship(StageMsg::Inflight { cmd, conn: conn_id });
             } else {
                 // Dedup-swallowed: already committed (re-ack from the
                 // index), still inflight (adopt the new connection), or
                 // committed below a transfer jump (park).
-                self.ship_ack(AckMsg::Retry {
+                self.ship(StageMsg::Retry {
                     cmd,
                     conn: conn_id,
                     fallback: None,
@@ -909,7 +804,7 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
     }
 
     fn after_round(&mut self, _round: u64, replica: &mut BatchingReplica<A::Cmd>) {
-        self.ensure_stages();
+        self.ensure_stage();
         let base = replica.applied_base() as u64;
         let limit = replica.applied_len() as u64;
         if self.applied_seen < base {
@@ -928,7 +823,7 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
                 .collect();
             self.applied_seen = limit;
             if self.tracer.enabled() {
-                let depth = self.stages.as_ref().map_or(0, |s| s.apply_tx.len() as u64);
+                let depth = self.queue_depth();
                 let mut last = u64::MAX;
                 for &(_, slot, _) in &delta {
                     if slot != last {
@@ -938,10 +833,10 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
                     }
                 }
             }
-            self.ship_apply(ApplyMsg::Delta(delta));
+            self.ship(StageMsg::Delta(delta));
         }
-        if let Some(stages) = &self.stages {
-            let depth = stages.apply_tx.len() as u64;
+        if self.stage.is_some() {
+            let depth = self.queue_depth();
             self.meters.apply_depth.record(depth);
             self.meters.apply_depth_now.set(depth);
         }
@@ -954,7 +849,7 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
         fs: &FoldedState<A::Cmd>,
         _replica: &mut BatchingReplica<A::Cmd>,
     ) {
-        self.ensure_stages();
+        self.ensure_stage();
         // A state transfer replaced the replica's log wholesale; restore
         // the live app from the transferred fold and fast-forward the
         // shipping cursor past the jump. Pending acks for offsets below
@@ -963,8 +858,8 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
         // window seeds the re-ack index so retries of commands committed
         // below the jump are answered instead of parked forever.
         self.applied_seen = self.applied_seen.max(fs.applied_len);
-        self.ship_apply(ApplyMsg::Restore(Box::new(fs.clone())));
-        self.ship_ack(AckMsg::KnownCommitted(fs.dedup.clone()));
+        self.ship(StageMsg::Restore(Box::new(fs.clone())));
+        self.ship(StageMsg::KnownCommitted(fs.dedup.clone()));
     }
 
     fn finish(&mut self, _replica: &mut BatchingReplica<A::Cmd>) {
@@ -993,7 +888,7 @@ mod tests {
     }
 
     fn drain_submissions(gw: &mut ClientGateway<LogApp<u64>>, replica: &mut BatchingReplica<u64>) {
-        // Connection readers and the ack stage run on their own threads;
+        // Connection readers and the delivery stage run on their own threads;
         // poll briefly.
         for _ in 0..100 {
             gw.before_round(1, replica);
@@ -1208,5 +1103,116 @@ mod tests {
         assert_eq!(replies[&2], KvReply::Value(Some(b"v".to_vec())));
         gw.drain();
         assert_eq!(gw.applier().app().len(), 1);
+    }
+
+    /// A client that submits large reads and never reads its acks fills
+    /// its socket buffers; the write timeout then drops that connection,
+    /// so the delivery stage — which also applies commands — keeps
+    /// serving every other client.
+    #[test]
+    fn a_client_that_stops_reading_cannot_stall_everyone() {
+        use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
+        use gencon_types::Round;
+
+        let mut gw = ClientGateway::<KvApp>::listen(
+            "127.0.0.1:0".parse().unwrap(),
+            GatewayConfig {
+                write_timeout: std::time::Duration::from_millis(50),
+                reack_index_cap: 8,
+                ..GatewayConfig::default()
+            },
+        )
+        .unwrap();
+        let spec = paxos::<Batch<KvCmd>>(1, 0, ProcessId::new(0)).unwrap();
+        let mut replica =
+            BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 16, usize::MAX).unwrap();
+        let mut round = 0u64;
+        // Runs rounds until `n` commands have committed in total.
+        let mut commit_until =
+            |gw: &mut ClientGateway<KvApp>, replica: &mut BatchingReplica<KvCmd>, n: usize| {
+                for _ in 0..10_000 {
+                    round += 1;
+                    let r = Round::new(round);
+                    gw.before_round(round, replica);
+                    let out = replica.send(r);
+                    let mut heard: HeardOf<_> = HeardOf::empty(1);
+                    if let Outgoing::Broadcast(m) = out {
+                        heard.put(ProcessId::new(0), m);
+                    }
+                    replica.receive(r, &heard);
+                    gw.after_round(round, replica);
+                    if replica.applied_len() >= n {
+                        return;
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                panic!("{n} commands did not commit");
+            };
+
+        // The silent client: one 256 KiB value, then gets of it in waves
+        // until the gateway gives up on the connection (its acks outgrow
+        // both socket buffers within a few dozen gets).
+        let mut silent = TcpStream::connect(gw.local_addr()).unwrap();
+        let put = KvCmd {
+            id: 0,
+            op: KvOp::Put {
+                key: b"big".to_vec(),
+                value: vec![7; 256 << 10],
+            },
+        };
+        write_frame(&mut silent, &ClientRequest::Submit { cmd: put }).unwrap();
+        let mut submitted = 1;
+        while gw.conns.lock().is_empty() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let silent_id = *gw.conns.lock().keys().next().unwrap();
+        while gw.conns.lock().contains_key(&silent_id) {
+            assert!(submitted < 1024, "the silent client was never dropped");
+            for _ in 0..16 {
+                let get = KvCmd {
+                    id: submitted as u64,
+                    op: KvOp::Get {
+                        key: b"big".to_vec(),
+                    },
+                };
+                write_frame(&mut silent, &ClientRequest::Submit { cmd: get }).unwrap();
+                submitted += 1;
+            }
+            commit_until(&mut gw, &mut replica, submitted);
+            gw.drain();
+        }
+
+        // Another client is still served, and promptly.
+        let mut other = TcpStream::connect(gw.local_addr()).unwrap();
+        other
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let small = KvCmd {
+            id: 1 << 32,
+            op: KvOp::Put {
+                key: b"k".to_vec(),
+                value: b"v".to_vec(),
+            },
+        };
+        write_frame(&mut other, &ClientRequest::Submit { cmd: small.clone() }).unwrap();
+        commit_until(&mut gw, &mut replica, submitted + 1);
+        let resp: ClientResponse<KvCmd, KvReply> = read_frame(&mut other).unwrap();
+        let ClientResponse::Committed {
+            cmd, offset, reply, ..
+        } = resp
+        else {
+            panic!("expected a commit ack, got {resp:?}");
+        };
+        assert_eq!(
+            (cmd, offset, reply),
+            (
+                small,
+                submitted as u64,
+                Some(KvReply::Stored { replaced: false })
+            )
+        );
+        gw.drain();
+        assert_eq!(gw.applier().cursor(), submitted as u64 + 1);
+        drop(silent);
     }
 }

@@ -430,20 +430,21 @@ impl NodeMeters {
 ///
 /// ```text
 /// socket → transport inbox → [order] → hook stages
-///          (bounded; sheds    decode,   (apply / persist / ack — see
-///           on overflow)      auth,     the gateway & durable hooks)
-///                             rounds
+///          (bounded; sheds    decode,   (gateway delivery: apply + ack;
+///           on overflow)      auth,      durable: persist — see the
+///                             rounds,    gateway & durable hooks)
+///                             folds
 /// ```
 ///
 /// Each frame makes one thread hop: from the transport's socket reader
 /// into its inbox. The **order** stage — this thread — takes the
-/// transport's receive half (when the transport can split one off — see
-/// [`Transport::split_recv`]), decodes and sender-authenticates each
-/// frame inline, runs the consensus rounds and drives the hook; it stays
-/// single-threaded and deterministic. A full inbox sheds fresh frames at
-/// the transport (`ingest.dropped`), as a congested link would. On exit
-/// [`NodeHook::finish`] drains the downstream stages and the receive
-/// half is restored into the transport.
+/// transport's receive half ([`Transport::split_recv`]; a transport that
+/// cannot split one off is refused with a panic), decodes and
+/// sender-authenticates each frame inline, runs the consensus rounds and
+/// drives the hook; it stays single-threaded and deterministic. A full
+/// inbox sheds fresh frames at the transport (`ingest.dropped`), as a
+/// congested link would. On exit [`NodeHook::finish`] drains the
+/// downstream stages and the receive half is restored into the transport.
 pub fn run_smr_node_observed<V, T, H>(
     mut replica: BatchingReplica<V>,
     mut transport: T,
@@ -462,35 +463,41 @@ where
     let meters = NodeMeters::new(metrics.unwrap_or(&scratch));
     let tracer = Tracer::new(trace.cloned());
     let peers = peers.cloned().unwrap_or_default();
-    let half = transport.split_recv();
+    let half = transport
+        .split_recv()
+        .expect("the order loop needs a transport whose receive half splits off");
+    let waker = Waker {
+        tx: half.waker(),
+        me: transport.local(),
+        armed: Arc::default(),
+    };
     let stats = order_loop(
         &mut replica,
         &mut transport,
         &cfg,
         &mut hook,
-        half.as_ref(),
+        &half,
+        &waker,
         &meters,
         &tracer,
         &peers,
     );
     hook.finish(&mut replica);
-    if let Some(half) = half {
-        transport.restore_recv(half);
-    }
+    transport.restore_recv(half);
     (replica, transport, stats, hook)
 }
 
 /// The order stage: the deterministic, single-threaded consensus round
-/// loop. Receives from the split-off `inbox` when the transport has one
-/// (which also gives it a waker), else from the transport itself, and
-/// decodes every frame inline.
+/// loop. Receives from the split-off `inbox`, which `waker` feeds too,
+/// and decodes every frame inline.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn order_loop<V, T, H>(
     replica: &mut BatchingReplica<V>,
     transport: &mut T,
     cfg: &ServerConfig,
     hook: &mut H,
-    inbox: Option<&RecvHalf>,
+    inbox: &RecvHalf,
+    waker: &Waker,
     meters: &NodeMeters,
     tracer: &Tracer,
     peers: &PeerTable,
@@ -549,23 +556,16 @@ where
     // once.
     let mut proposed_next: u64 = 0;
     // The wake-up path into our own inbox, published for the hook.
-    let waker = inbox.map(|half| Waker {
-        tx: half.waker(),
-        me,
-        armed: Arc::default(),
-    });
-    WAKER.with(|cell| *cell.borrow_mut() = waker.clone());
+    WAKER.with(|cell| *cell.borrow_mut() = Some(waker.clone()));
     // Inbox drops already reported into `ingest.dropped`.
-    let mut dropped_seen = inbox.map_or(0, RecvHalf::dropped);
+    let mut dropped_seen = inbox.dropped();
     let mut sample_inbox = || {
-        if let Some(half) = inbox {
-            meters.queue_depth_now.set(half.len() as u64);
-            let dropped = half.dropped();
-            if dropped > dropped_seen {
-                meters.dropped.add(dropped - dropped_seen);
-                tracer.rec(Stage::Ingest, EventKind::Shed, 0, dropped - dropped_seen);
-                dropped_seen = dropped;
-            }
+        meters.queue_depth_now.set(inbox.len() as u64);
+        let dropped = inbox.dropped();
+        if dropped > dropped_seen {
+            meters.dropped.add(dropped - dropped_seen);
+            tracer.rec(Stage::Ingest, EventKind::Shed, 0, dropped - dropped_seen);
+            dropped_seen = dropped;
         }
     };
 
@@ -618,9 +618,7 @@ where
             if idle && Instant::now() >= next_poll {
                 // Armed before the drain: a submission that misses it
                 // rings the waker.
-                if let Some(w) = &waker {
-                    w.arm();
-                }
+                waker.arm();
                 hook.before_round(r, replica);
                 if stop_requested(hook, replica, cfg) {
                     break 'rounds;
@@ -731,11 +729,7 @@ where
                     }
                 }
             };
-            let got = match inbox {
-                Some(half) => half.recv_timeout(wait),
-                None => transport.recv_timeout(wait),
-            };
-            let Some((sender, frame)) = got else {
+            let Some((sender, frame)) = inbox.recv_timeout(wait) else {
                 if clock.is_some_and(|(_, dl, _)| drain || Instant::now() >= dl) {
                     break;
                 }
@@ -760,11 +754,9 @@ where
                 continue;
             };
             meters.frames.inc();
-            if let Some(half) = inbox {
-                let depth = half.len() as u64;
-                meters.queue_depth.record(depth);
-                tracer.rec(Stage::Ingest, EventKind::Ingested, 0, depth);
-            }
+            let depth = inbox.len() as u64;
+            meters.queue_depth.record(depth);
+            tracer.rec(Stage::Ingest, EventKind::Ingested, 0, depth);
             // Any authenticated frame is a liveness signal.
             last_heard[sender.index()] = last_heard[sender.index()].max(r);
             peers.heard(sender.index(), r);
@@ -1170,6 +1162,36 @@ mod tests {
             max_rounds,
             stop_after_commands: None,
         }
+    }
+
+    /// The order loop receives only through a split-off half; a transport
+    /// that cannot split one is refused up front.
+    #[test]
+    #[should_panic(expected = "receive half splits off")]
+    fn a_transport_without_a_receive_half_is_refused() {
+        struct Whole(ChannelTransport);
+        impl Transport for Whole {
+            fn local(&self) -> ProcessId {
+                self.0.local()
+            }
+            fn peers(&self) -> usize {
+                self.0.peers()
+            }
+            fn send(&mut self, to: ProcessId, frame: Bytes) {
+                self.0.send(to, frame);
+            }
+            fn recv_timeout(&mut self, timeout: Duration) -> Option<(ProcessId, Bytes)> {
+                self.0.recv_timeout(timeout)
+            }
+            fn split_recv(&mut self) -> Option<RecvHalf> {
+                None
+            }
+            fn restore_recv(&mut self, _half: RecvHalf) {}
+        }
+        let spec = paxos::<Batch<u64>>(1, 0, ProcessId::new(0)).unwrap();
+        let replica = BatchingReplica::new(ProcessId::new(0), spec.params, 4, usize::MAX).unwrap();
+        let transport = Whole(ChannelTransport::mesh(1).remove(0));
+        let _ = run_smr_node_observed(replica, transport, small_cfg(1), NoHook, None, None, None);
     }
 
     /// Submits a fixed command block up front, then keeps the node alive

@@ -1,19 +1,20 @@
 //! Staged-pipeline safety tests.
 //!
-//! The gateway's apply and ack stages run on their own threads, so the
-//! properties worth pinning down are the ones threading could break:
+//! The gateway applies and acks on its own delivery thread, behind one
+//! channel from the order loop, so the properties worth pinning down are
+//! the ones that hand-off could break:
 //!
 //! * **Determinism** — a pipelined node's applied log, live application
 //!   state and per-command replies are exactly what a single-threaded
 //!   replay of the same applied log produces (property test over random
 //!   kv command streams).
-//! * **Clean shutdown** — `NodeHook::finish` drains the stages: every
-//!   ack for an applied command reaches the client socket before the
-//!   node returns; nothing is stranded in a queue.
+//! * **Clean shutdown** — `NodeHook::finish` drains the delivery stage:
+//!   every ack for an applied command reaches the client socket before
+//!   the node returns; nothing is stranded in its queue.
 //! * **Re-acks across a state-transfer jump** — a client retry of a
 //!   command that committed *below* a chunked-state-transfer jump is
 //!   answered from the transferred dedup set instead of being swallowed
-//!   by the replica's dedup (the regression this PR fixes).
+//!   by the replica's dedup.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -134,7 +135,7 @@ proptest! {
     }
 }
 
-/// `NodeHook::finish` drains the apply and ack stages: acks for every
+/// `NodeHook::finish` drains the delivery stage: acks for every
 /// applied command are on the client socket when it returns, with no
 /// reads ever polling in between — nothing is stranded in a stage queue.
 #[test]

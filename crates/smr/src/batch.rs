@@ -266,11 +266,6 @@ impl<V: Value> BatchingReplica<V> {
         self.cap
     }
 
-    /// Slots this replica currently has an open proposal for, ascending.
-    pub fn proposed_slots(&self) -> impl Iterator<Item = crate::Slot> + '_ {
-        self.proposed.keys().copied()
-    }
-
     /// The configured dedup horizon, in slots (see
     /// [`BatchingReplica::with_dedup_horizon`]) — the folding layer needs
     /// it to carry exactly the still-live dedup window in a snapshot.
@@ -881,7 +876,7 @@ mod tests {
     #[test]
     fn quiescent_cluster_wakes_on_one_submission() {
         const WINDOW: usize = 2;
-        const LINGER: usize = 6;
+        const LINGER: usize = crate::LINGER_ROUNDS as usize;
         const BLOCK: usize = 16;
         const LATE_AT: u64 = 60;
         let spec = pbft::<Batch<u64>>(4, 1).unwrap();
@@ -1031,7 +1026,7 @@ mod tests {
     /// bound (the minimum over all processes decides), then retire.
     #[test]
     fn a_silent_replica_keeps_peers_lingering_up_to_the_bound() {
-        const LINGER: usize = 6;
+        const LINGER: usize = crate::LINGER_ROUNDS as usize;
         let marks = one_command_run(Some(3), 40);
         assert_eq!(marks.len(), 3);
         let (commit, quiet) = commit_and_quiet(&marks);

@@ -31,16 +31,16 @@
 //!
 //! # Commit watermarks
 //!
-//! A decided slot's engine keeps voting for `linger` rounds, so a peer that
-//! missed the deciding round can still reach `TD` votes. Once every peer
+//! A decided slot's engine keeps voting for [`LINGER_ROUNDS`], so a peer
+//! that missed the deciding round can still reach `TD` votes. Once every peer
 //! has committed the slot, nobody needs those votes. Every bundle is
 //! therefore stamped with its sender's **watermark**, the contiguous commit
 //! point (slots below it are committed). A [`Replica`] keeps the latest
 //! watermark heard from each process and retires a lingering engine for
 //! slot `s` as soon as every process's watermark is above `s`; otherwise
-//! the `linger` bound still applies. The rule takes the minimum over all
+//! the linger bound still applies. The rule takes the minimum over all
 //! processes, so a crashed or Byzantine peer can only hold the others to
-//! the old `linger` bound, never make them retire early while an honest
+//! the old linger bound, never make them retire early while an honest
 //! laggard still needs the votes. The latest watermark overwrites the old
 //! one (it is not a running maximum): a restarted peer counts again. The
 //! same stamp stops decision claims for slots the sender already has.
@@ -92,6 +92,12 @@ use gencon_types::{ProcessId, Round, Value};
 
 /// A slot (log position) identifier.
 pub type Slot = u64;
+
+/// Rounds a decided slot's engine keeps voting at most — two phases of a
+/// 3-round class — so replicas that missed the deciding round still reach
+/// `TD`. It retires earlier once every process's watermark shows the slot
+/// committed.
+pub const LINGER_ROUNDS: u64 = 6;
 
 /// Messages of the replicated log: per-slot consensus messages, bundled per
 /// round. Bundling keeps the composition a closed-round protocol: one
@@ -259,10 +265,6 @@ pub struct Replica<V: Value> {
     /// decides slot `s` and opens `s + 1` strands any peer that missed the
     /// deciding round: the peer alone can never reach `TD` votes for `s`.
     lingering: BTreeMap<Slot, (GenericConsensus<V>, u64, u64)>,
-    /// Rounds a decided engine lingers after its decision at most (0 =
-    /// retire immediately, the pre-linger behavior). It retires earlier
-    /// once every process's watermark has passed its slot.
-    linger: u64,
     /// The latest watermark heard from each process (this replica's own
     /// entry is its commit point): a lingering slot below all of them is
     /// committed everywhere.
@@ -330,7 +332,6 @@ impl<V: Value> Replica<V> {
             noop,
             open: BTreeMap::new(),
             lingering: BTreeMap::new(),
-            linger: 6,
             decided: BTreeMap::new(),
             claim_queue: BTreeMap::new(),
             claim_votes: BTreeMap::new(),
@@ -348,19 +349,6 @@ impl<V: Value> Replica<V> {
     #[must_use]
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Sets how many rounds a decided slot's engine keeps participating
-    /// at most (default 6 — two phases of a 3-round class). Lingering
-    /// engines keep re-broadcasting their votes so replicas that missed the
-    /// deciding round still reach `TD`; longer linger tolerates longer
-    /// asynchronous gaps at the cost of proportionally more live engines.
-    /// An engine retires before the bound once every process's watermark
-    /// shows the slot committed.
-    #[must_use]
-    pub fn with_linger(mut self, rounds: u64) -> Self {
-        self.linger = rounds;
         self
     }
 
@@ -616,9 +604,7 @@ impl<V: Value> Replica<V> {
             let (engine, opened) = self.open.remove(&slot).expect("slot is open");
             let d = engine.decision().expect("checked above").clone();
             self.decided.insert(slot, d.value);
-            if self.linger > 0 {
-                self.lingering.insert(slot, (engine, opened, now.number()));
-            }
+            self.lingering.insert(slot, (engine, opened, now.number()));
         }
         // Commit the contiguous prefix.
         while let Some(v) = self.decided.remove(&(self.committed_len() as Slot)) {
@@ -631,9 +617,8 @@ impl<V: Value> Replica<V> {
             *w = own;
         }
         let everywhere = self.watermarks.iter().copied().min().unwrap_or(0);
-        let linger = self.linger;
         self.lingering.retain(|slot, (_, _, decided_at)| {
-            *slot >= everywhere && now.number() < *decided_at + linger
+            *slot >= everywhere && now.number() < *decided_at + LINGER_ROUNDS
         });
     }
 

@@ -11,9 +11,9 @@ pub enum Stage {
     Ingest,
     /// The single-threaded consensus round loop.
     Order,
-    /// The gateway apply stage.
+    /// Live application in the gateway's delivery stage.
     Apply,
-    /// The gateway ack stage.
+    /// Client acks in the gateway's delivery stage.
     Ack,
     /// The durable persist stage (WAL append + fsync).
     Persist,
@@ -74,8 +74,8 @@ pub enum EventKind {
     Timeout,
     /// `slot` was committed by consensus (`detail` = round).
     Decided,
-    /// `slot` was enqueued for the apply stage (`detail` = apply queue
-    /// depth after the enqueue).
+    /// `slot` was enqueued for the gateway's delivery stage (`detail` =
+    /// that stage's queue depth at the enqueue).
     ApplyQueued,
     /// `slot` was applied to the state machine (`detail` = service µs).
     Applied,

@@ -33,7 +33,7 @@ pub struct SlotSpan {
     pub quorum_peer: Option<u64>,
     /// Proposed → decided: consensus rounds plus proposal queueing.
     pub order_us: Option<u64>,
-    /// Decided → handed to the apply stage, i.e. apply queue wait.
+    /// Decided → handed to the gateway's delivery stage.
     pub apply_wait_us: Option<u64>,
     /// Time inside the state-machine apply call.
     pub apply_svc_us: Option<u64>,
