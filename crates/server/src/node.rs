@@ -26,10 +26,13 @@
 //!   (at least one sender is honest), so the node jumps its round counter
 //!   forward. Skipped rounds are indistinguishable from message loss,
 //!   which every instantiation tolerates; a lone Byzantine peer cannot
-//!   trigger a jump. From the new round the existing catch-up machinery
-//!   takes over: peers answer the laggard's stale-slot bundles with
-//!   decision claims, and `b + 1` concordant claims commit any missed
-//!   prefix ([`gencon_smr`]'s certificate path).
+//!   trigger a jump. Their buffered frames are dropped, but not the
+//!   relays they carry: a command is relayed once, so the jumping node
+//!   merges those relays into its proposal queue first. From the new
+//!   round the existing catch-up machinery takes over: peers answer the
+//!   laggard's stale-slot bundles with decision claims, and `b + 1`
+//!   concordant claims commit any missed prefix ([`gencon_smr`]'s
+//!   certificate path).
 //! * **Chunked state transfer** — a laggard whose gap outran the claim
 //!   horizon broadcasts a `SnapshotRequest`; peers answer with a
 //!   [`SnapshotManifest`] (metadata only, served by the
@@ -637,9 +640,10 @@ where
                     if target > r {
                         stats.fast_forwards += 1;
                         meters.fast_forwards.inc();
+                        // Rounds below the jump are closed without
+                        // executing; their relays still join the queue.
+                        future = skip_rounds(replica, &heard, future, target);
                         r = target;
-                        // Rounds below the jump are closed without executing.
-                        future = future.split_off(&r);
                         continue 'rounds;
                     }
                 }
@@ -1120,6 +1124,30 @@ where
     stats
 }
 
+/// Closes every round below `target` without executing it: drops the
+/// current round's `heard` set and the buffered frames of the skipped
+/// rounds, and returns the frames from `target` on. A relay is sent once,
+/// so the dropped bundles' relays are merged into the replica's proposal
+/// queue first, in round order and then sender order.
+fn skip_rounds<V: Value>(
+    replica: &mut BatchingReplica<V>,
+    heard: &HeardOf<SmrMsg<Batch<V>>>,
+    mut future: FutureFrames<V>,
+    target: u64,
+) -> FutureFrames<V> {
+    let kept = future.split_off(&target);
+    for (_, bundle) in heard.iter() {
+        replica.merge_relays(bundle.relays());
+    }
+    for (_, mut frames) in future {
+        frames.sort_by_key(|(sender, _)| sender.index());
+        for (_, bundle) in &frames {
+            replica.merge_relays(bundle.relays());
+        }
+    }
+    kept
+}
+
 /// Whether the hook or the `stop_after_commands` budget ends the run.
 fn stop_requested<V: Value, H: NodeHook<V>>(
     hook: &mut H,
@@ -1318,11 +1346,14 @@ mod tests {
                 let params = spec.params.clone();
                 // Enough work that the run extends well past the
                 // LIVENESS_GRACE window in which the dead node still
-                // counts toward the full-round expectation.
+                // counts toward the full-round expectation: two open
+                // slots of 8 commands, each deciding in 2 rounds, commit
+                // at most 8 commands a round, so 720 take 90 rounds or
+                // more.
                 let hook = TestLoad {
                     id: i,
-                    submit: 80,
-                    target: 240,
+                    submit: 240,
+                    target: 720,
                     fed: false,
                     marked_done: false,
                     done: std::sync::Arc::clone(&done),
@@ -1346,7 +1377,7 @@ mod tests {
         let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for (rep, _t, stats, _hook) in &out {
             assert!(
-                rep.applied().len() >= 240,
+                rep.applied().len() >= 720,
                 "3 live of 4 (= n − b) keep committing, got {}",
                 rep.applied().len()
             );
@@ -1359,6 +1390,64 @@ mod tests {
                 stats.timeouts,
                 stats.rounds
             );
+        }
+    }
+
+    /// Ends the run at a wall-clock instant, idle or not.
+    struct StopAt(Instant);
+
+    impl NodeHook<u64> for StopAt {
+        fn should_stop(&mut self, _replica: &BatchingReplica<u64>) -> bool {
+            Instant::now() >= self.0
+        }
+    }
+
+    /// A node that fast-forwards over a round whose frame relayed a
+    /// command still queues the command, and proposes it in the round it
+    /// jumps to: a relay is sent only once.
+    #[test]
+    fn a_fast_forward_keeps_the_skipped_rounds_relays() {
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        let mut mesh = ChannelTransport::mesh(4);
+        let mut peers = mesh.split_off(1);
+        let node = mesh.remove(0);
+        let frame = |sender: usize, round: u64, relay: &[u64]| {
+            let mut bundle = SmrMsg::new();
+            if !relay.is_empty() {
+                bundle.push_relay(Batch::new(relay.to_vec()));
+            }
+            SyncFrame::encode_round(ProcessId::new(sender), Round::new(round), &bundle)
+        };
+        // Peers 1 and 2 (b + 1 of them) show round 5, so node 0 jumps
+        // there from round 2; peer 1's round-3 frame relayed command 7.
+        let to = ProcessId::new(0);
+        peers[0].send(to, frame(1, 3, &[7]));
+        peers[0].send(to, frame(1, 5, &[]));
+        peers[1].send(to, frame(2, 5, &[]));
+        let replica = BatchingReplica::new(ProcessId::new(0), spec.params, 4, usize::MAX).unwrap();
+        let cfg = ServerConfig {
+            initial_round_timeout: Duration::from_millis(20),
+            ..small_cfg(5)
+        };
+        let stop = StopAt(Instant::now() + Duration::from_secs(2));
+        let (_replica, _t, stats, _hook) =
+            run_smr_node_observed(replica, node, cfg, stop, None, None, None);
+        assert_eq!(stats.fast_forwards, 1);
+        // Node 0's round-5 bundle opens slot 0 with the relayed command;
+        // the first selection round is skipped, so it validates it.
+        let mut proposal = None;
+        while let Some((_, bytes)) = peers[0].recv_timeout(Duration::ZERO) {
+            if let Some(SyncFrame::Round(env)) = decode_frame::<SmrMsg<Batch<u64>>>(&bytes) {
+                if env.round == Round::new(5) {
+                    proposal = env.msg.slot(0).cloned();
+                }
+            }
+        }
+        match proposal {
+            Some(gencon_core::ConsensusMsg::Validation(_, v)) => {
+                assert_eq!(v.select, Some(Batch::new(vec![7])));
+            }
+            other => panic!("round 5 proposes no batch for slot 0: {other:?}"),
         }
     }
 

@@ -65,6 +65,10 @@ struct Driver {
     /// quiescent — the restarting node waits for an idle cluster.
     settled: Option<Arc<AtomicUsize>>,
     applier: Applier<LogApp<u64>>,
+    /// This node does not report done before this instant: a run that
+    /// must outlast some wall-clock interval (a group commit) trickles
+    /// on until then.
+    hold_until: Option<Instant>,
     /// Hard wall-clock stop so a wedged run fails loudly instead of
     /// hanging the suite.
     give_up: Instant,
@@ -86,6 +90,7 @@ impl Driver {
             base_floor: None,
             settled: None,
             applier: Applier::default(),
+            hold_until: None,
             give_up,
         }
     }
@@ -124,7 +129,10 @@ impl NodeHook<u64> for Driver {
         if let Some(die) = self.die_at_slot {
             return replica.committed_slots() as u64 >= die;
         }
-        if !self.marked && replica.applied_len() >= TARGET {
+        if !self.marked
+            && replica.applied_len() >= TARGET
+            && self.hold_until.is_none_or(|t| Instant::now() >= t)
+        {
             self.marked = true;
             self.done.fetch_add(1, Ordering::SeqCst);
         }
@@ -582,8 +590,16 @@ fn run_observed_cluster(tag: &str, registry: Option<&Registry>, recorder: Option
             let replica = BatchingReplica::new(ProcessId::new(i), params, 4, usize::MAX)
                 .unwrap()
                 .with_window(4);
-            let (wal, _) = FileWal::open(&dir, WalConfig::default()).expect("open wal");
-            let driver = Driver::new(i, FEED, done, give_up);
+            let wal_cfg = WalConfig::default();
+            let (wal, _) = FileWal::open(&dir, wal_cfg).expect("open wal");
+            // The block alone commits, and is covered by snapshot
+            // installs, faster than one group-commit interval: trickle on
+            // for ten intervals so appends outlive a group commit.
+            let driver = Driver {
+                trickle: Some(FEED as u64),
+                hold_until: Some(Instant::now() + 10 * wal_cfg.fsync_interval),
+                ..Driver::new(i, FEED, done, give_up)
+            };
             let mut hook =
                 DurableNode::new(wal, durable_cfg(), Folder::<LogApp<u64>>::default(), driver);
             if let Some(r) = &reg {

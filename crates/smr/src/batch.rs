@@ -1,13 +1,25 @@
 //! The batch commit path: many client commands per consensus slot.
 //!
 //! [`BatchingReplica`] wraps a [`Replica`] running over
-//! [`Batch<V>`](gencon_types::Batch) values. The queue of raw client
-//! commands is re-partitioned into candidate batches of at most `batch_cap`
-//! commands every round — so late arrivals join a batch right up to the
-//! round that proposes it — and committed batches are flattened, in slot
-//! order, into the applied command log. Agreement over the flattened log
-//! follows from per-slot Agreement: every honest replica commits the same
-//! batch in every slot, and flattening is deterministic.
+//! [`Batch<V>`](gencon_types::Batch) values and splits dissemination from
+//! agreement. A submitted command is **relayed once**: the next round's
+//! bundle carries it to every replica, the sender included. A command
+//! becomes **proposable once heard**: each replica appends the relays it
+//! hears to its proposal queue in heard order (sender index, then relay
+//! order), so in a good round every honest replica holds the same queue
+//! and cuts the same cap-sized batch for each new slot. Proposals are
+//! then unanimous, which lets every slot skip phase 1's selection round
+//! (§3.1): relay, validation and decision make three rounds per command.
+//! Committed batches are flattened, in slot order, into the applied
+//! command log. Agreement over the flattened log follows from per-slot
+//! Agreement: every honest replica commits the same batch in every slot,
+//! and flattening is deterministic.
+//!
+//! A proposal that diverges — a relay was lost, or a Byzantine relayer
+//! told peers different things — only costs the slot its phase-1
+//! shortcut: phase 2 runs a full selection. Commands of one of our
+//! batches that lost its slot go back on the relay list, which keeps
+//! every command live under loss.
 
 use gencon_core::{Params, ParamsError};
 use gencon_rounds::{HeardOf, Outgoing, Predicate, RoundProcess};
@@ -46,8 +58,18 @@ pub struct BatchingReplica<V: Value> {
     inner: Replica<Batch<V>>,
     /// Max commands per proposed batch.
     cap: usize,
-    /// Raw client commands not yet drained into a proposed batch.
+    /// Commands submitted here (or lost from one of our batches) and not
+    /// yet relayed: each send relays up to window × cap of them.
+    to_relay: std::collections::VecDeque<V>,
+    /// The commands in `to_relay`.
+    relaying: std::collections::HashSet<V>,
+    /// The proposal queue: commands heard relayed (our own loopback
+    /// bundle included), in heard order, not yet drained into a proposed
+    /// batch.
     queue: Vec<V>,
+    /// Commands in `queue` or in one of the `proposed` batches: a relay
+    /// heard again while the command is held queues nothing.
+    held: std::collections::HashSet<V>,
     /// The retained flattened applied log (absolute offsets
     /// `[applied_base, applied_base + applied.len())`; the prefix below
     /// `applied_base` was compacted away after a snapshot).
@@ -68,13 +90,8 @@ pub struct BatchingReplica<V: Value> {
     /// Output fires at this many applied commands.
     commit_target: usize,
     /// Batches this replica proposed, by slot — compared against the
-    /// committed batch so losing commands can be re-queued.
+    /// committed batch so losing commands can be relayed again.
     proposed: std::collections::BTreeMap<crate::Slot, Batch<V>>,
-    /// Every command that ever entered this replica (submitted or
-    /// relayed) and not yet evicted from the dedup window: relay merging
-    /// must not re-queue a command twice. Purely local (gates queueing
-    /// only), so eviction cannot break agreement.
-    seen: std::collections::HashSet<V>,
     /// Commands applied within the dedup horizon: with relays,
     /// overlapping batches can win different slots, so flattening
     /// deduplicates. The dedup decision **must be identical on every
@@ -84,7 +101,7 @@ pub struct BatchingReplica<V: Value> {
     /// applied in, evicted by the flatten loop itself — never by local
     /// compaction, which runs at replica-specific times.
     applied_set: std::collections::HashSet<V>,
-    /// Eviction queue for `applied_set`/`seen`: `(slot, command)` in
+    /// Eviction queue for `applied_set`: `(slot, command)` in
     /// apply order. Bounds dedup memory to the horizon's worth of
     /// commands however long the replica runs.
     dedup_window: std::collections::VecDeque<(crate::Slot, V)>,
@@ -94,9 +111,6 @@ pub struct BatchingReplica<V: Value> {
     /// original commit may be applied again (at-most-once within the
     /// horizon — the standard session-expiry tradeoff).
     dedup_horizon: u64,
-    /// Whether a bundle heard in the last round relayed a command that is
-    /// still unapplied (this replica's own loopback bundle included).
-    relay_demand: bool,
     /// One past the highest slot any heard bundle referenced: while it is
     /// above the next slot to open, a peer works a slot this replica has
     /// not opened yet (or a restarted replica learned the cluster's head).
@@ -111,7 +125,8 @@ impl<V: Value> BatchingReplica<V> {
     /// Creates a batching replica.
     ///
     /// * `params` — consensus parameterization over `Batch<V>` values
-    ///   (e.g. `gencon_algos::pbft::<Batch<u64>>(4, 1)?.params`);
+    ///   (e.g. `gencon_algos::pbft::<Batch<u64>>(4, 1)?.params`); with a
+    ///   constant selector, every slot skips phase 1's selection round;
     /// * `batch_cap` — maximum commands drained into one slot's proposal
     ///   (clamped to at least 1);
     /// * `commit_target` — how many applied **commands** constitute "done".
@@ -121,20 +136,28 @@ impl<V: Value> BatchingReplica<V> {
     /// Propagates [`ParamsError`] if `params` is invalid.
     pub fn new(
         id: ProcessId,
-        params: Params<Batch<V>>,
+        mut params: Params<Batch<V>>,
         batch_cap: usize,
         commit_target: usize,
     ) -> Result<Self, ParamsError> {
+        // Every replica proposes the batch cut from the same heard relays,
+        // so phase 1 starts unanimous and its selection round can go
+        // (§3.1); `Params::validate` checks the constant selector this
+        // needs, so only a constant selector gets the shortcut.
+        params.skip_first_selection |= params.selector.is_constant();
         // The inner commit target is unbounded: demand, not a slot count,
         // opens slots (a slot that opens with a dry queue proposes the
         // empty batch), and *this* replica's command-counted target fires
         // the output. A fresh replica has no demand.
         let mut inner = Replica::new(id, params, Vec::new(), Batch::empty(), usize::MAX)?;
-        inner.demand = Some(false);
+        inner.budget = Some(0);
         Ok(BatchingReplica {
             inner,
             cap: batch_cap.max(1),
+            to_relay: std::collections::VecDeque::new(),
+            relaying: std::collections::HashSet::new(),
             queue: Vec::new(),
+            held: std::collections::HashSet::new(),
             applied: Vec::new(),
             applied_base: 0,
             applied_rounds: Vec::new(),
@@ -142,11 +165,9 @@ impl<V: Value> BatchingReplica<V> {
             flattened: 0,
             commit_target,
             proposed: std::collections::BTreeMap::new(),
-            seen: std::collections::HashSet::new(),
             applied_set: std::collections::HashSet::new(),
             dedup_window: std::collections::VecDeque::new(),
             dedup_horizon: DEFAULT_DEDUP_HORIZON,
-            relay_demand: false,
             heard_next: 0,
         })
     }
@@ -168,20 +189,24 @@ impl<V: Value> BatchingReplica<V> {
         self
     }
 
-    /// Enqueues a client command. Duplicates of commands already seen
-    /// (queued, proposed, relayed in, or applied) are dropped, so client
-    /// retries and relay echoes are idempotent. Returns whether the
-    /// command was freshly enqueued — `false` means the dedup set
-    /// swallowed it, so a caller holding a client connection knows to
-    /// answer the retry from its re-ack index instead of waiting for a
-    /// commit that already happened.
+    /// Enqueues a client command for relaying: the next round's bundle
+    /// carries it to every replica, and it becomes proposable once heard.
+    /// Duplicates of commands this replica still holds (waiting to relay,
+    /// queued or proposed) or applied within the dedup horizon are
+    /// dropped, so client retries and relay echoes are idempotent.
+    /// Returns whether the command was freshly enqueued — `false` means
+    /// the dedup swallowed it, so a caller holding a client connection
+    /// knows to answer the retry from its re-ack index instead of waiting
+    /// for a commit that already happened.
     pub fn submit(&mut self, command: V) -> bool {
-        if self.seen.insert(command.clone()) {
-            self.queue.push(command);
-            true
-        } else {
-            false
+        if self.applied_set.contains(&command)
+            || self.held.contains(&command)
+            || !self.relaying.insert(command.clone())
+        {
+            return false;
         }
+        self.to_relay.push_back(command);
+        true
     }
 
     /// Enqueues many client commands (deduplicated, see
@@ -226,10 +251,28 @@ impl<V: Value> BatchingReplica<V> {
         &self.applied_slots
     }
 
-    /// Commands still queued (not yet drained into a proposal).
+    /// Commands still queued: waiting to be relayed, or heard and not yet
+    /// drained into a proposal.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.to_relay.len() + self.queue.len()
+    }
+
+    /// Appends the commands of relay chunks heard from one sender to the
+    /// proposal queue, in relay order. A command already applied, queued
+    /// or held in one of our open proposals is skipped. The round's
+    /// receive step calls this for every heard bundle in sender order; a
+    /// driver that closes rounds without executing them (a fast-forward)
+    /// calls it for the skipped rounds' bundles, so their relays are not
+    /// lost.
+    pub fn merge_relays(&mut self, relays: &[Batch<V>]) {
+        for cmd in relays.iter().flat_map(Batch::commands) {
+            if self.applied_set.contains(cmd) || self.held.contains(cmd) {
+                continue;
+            }
+            self.held.insert(cmd.clone());
+            self.queue.push(cmd.clone());
+        }
     }
 
     /// Committed consensus slots so far (including no-op slots and the
@@ -253,11 +296,12 @@ impl<V: Value> BatchingReplica<V> {
         self.inner.committed_base()
     }
 
-    /// Commands currently held for dedup (the `seen` set) — regression
-    /// surface for the bounded-memory guarantee.
+    /// Commands currently held for dedup: applied within the horizon,
+    /// waiting to relay, queued or proposed — regression surface for the
+    /// bounded-memory guarantee.
     #[must_use]
     pub fn seen_len(&self) -> usize {
-        self.seen.len()
+        self.applied_set.len() + self.relaying.len() + self.held.len()
     }
 
     /// The configured batch cap.
@@ -287,29 +331,36 @@ impl<V: Value> BatchingReplica<V> {
         self.inner.td()
     }
 
-    /// Whether the next round would open a slot: a bundle heard in the
-    /// last round relayed an unapplied command, or some bundle referenced
-    /// a slot at or above the next one to open.
-    fn has_demand(&self) -> bool {
-        self.relay_demand || self.heard_next > self.inner.next_slot
+    /// How many slots the next send wants to open: one per cap-sized
+    /// chunk of the proposal queue, or as many as peers' bundles showed
+    /// ahead of the next slot to open, whichever is more. The window
+    /// bounds it further; what does not fit stays queued as the next
+    /// round's demand.
+    fn demand(&self) -> usize {
+        let ahead = self.heard_next.saturating_sub(self.inner.next_slot);
+        self.queue
+            .len()
+            .div_ceil(self.cap)
+            .max(usize::try_from(ahead).unwrap_or(usize::MAX))
     }
 
     /// Whether this replica has nothing to order: no open, lingering or
-    /// decided-uncommitted slot, no claim to send, nothing queued or
-    /// proposed, and no demand. A quiescent replica's next round would
-    /// send an empty bundle and change nothing, so a driver may stop
-    /// running rounds until a submission or a peer's bundle brings work.
+    /// decided-uncommitted slot, no claim to send, nothing to relay,
+    /// queued or proposed, and no demand. A quiescent replica's next
+    /// round would send an empty bundle and change nothing, so a driver
+    /// may stop running rounds until a submission or a peer's bundle
+    /// brings work.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty()
+        self.to_relay.is_empty()
             && self.proposed.is_empty()
-            && !self.has_demand()
+            && self.demand() == 0
             && self.inner.is_settled()
     }
 
     /// Flattens any newly committed batches into the applied log, stamping
-    /// each command with the round it committed at, and re-queues our own
-    /// commands whose proposed batch lost the slot.
+    /// each command with the round it committed at, and puts our own
+    /// commands whose proposed batch lost the slot back on the relay list.
     fn flatten(&mut self, r: Round) {
         let before = self.flattened;
         let mut lost: Vec<V> = Vec::new();
@@ -325,7 +376,6 @@ impl<V: Value> BatchingReplica<V> {
                 }
                 let (_, cmd) = self.dedup_window.pop_front().expect("front exists");
                 self.applied_set.remove(&cmd);
-                self.seen.remove(&cmd);
             }
             let idx = (slot - self.inner.committed_base()) as usize;
             let batch = &self.inner.committed()[idx];
@@ -339,13 +389,15 @@ impl<V: Value> BatchingReplica<V> {
                 }
             }
             for cmd in newly {
-                self.seen.insert(cmd.clone());
                 self.dedup_window.push_back((slot, cmd.clone()));
                 self.applied.push(cmd.clone());
                 self.applied_rounds.push(r.number());
                 self.applied_slots.push(slot);
             }
             if let Some(mine) = self.proposed.remove(&slot) {
+                for c in mine.commands() {
+                    self.held.remove(c);
+                }
                 if mine != *batch {
                     lost.extend(
                         mine.into_commands()
@@ -356,17 +408,29 @@ impl<V: Value> BatchingReplica<V> {
             }
             self.flattened += 1;
         }
-        // Lost commands re-enter at the queue front: oldest first, so
-        // client FIFO order is preserved across retries.
-        if !lost.is_empty() {
-            self.queue.splice(0..0, lost);
-        }
+        self.relay_again(lost);
         // Purge commands another replica's batch just committed: without
         // this, relayed duplicates churn slots forever without growing
         // the applied log.
         if self.flattened > before {
-            let applied_set = &self.applied_set;
-            self.queue.retain(|c| !applied_set.contains(c));
+            let (applied_set, held) = (&self.applied_set, &mut self.held);
+            self.queue.retain(|c| {
+                let keep = !applied_set.contains(c);
+                if !keep {
+                    held.remove(c);
+                }
+                keep
+            });
+        }
+    }
+
+    /// Puts commands that lost their slot back at the front of the relay
+    /// list, oldest first, so client FIFO order is preserved across
+    /// retries. Relaying them again is what keeps them live under loss.
+    fn relay_again(&mut self, lost: Vec<V>) {
+        for c in lost.into_iter().rev() {
+            self.relaying.insert(c.clone());
+            self.to_relay.push_front(c);
         }
     }
 
@@ -436,7 +500,6 @@ impl<V: Value> BatchingReplica<V> {
         self.applied_base = 0;
         self.applied_set.clear();
         self.dedup_window.clear();
-        self.seen.clear();
         // The full applied set purges the local queue; the dedup
         // window/set keep only the horizon suffix, exactly what a replica
         // that flattened slot by slot would hold when reaching upto_slot.
@@ -445,29 +508,42 @@ impl<V: Value> BatchingReplica<V> {
             full.insert(cmd.clone());
             if slot + self.dedup_horizon >= upto_slot {
                 self.applied_set.insert(cmd.clone());
-                self.seen.insert(cmd.clone());
                 self.dedup_window.push_back((slot, cmd.clone()));
             }
             self.applied.push(cmd);
             self.applied_rounds.push(round);
             self.applied_slots.push(slot);
         }
-        self.queue.retain(|c| !full.contains(c));
-        self.proposed.retain(|s, _| *s >= upto_slot);
-        for c in &self.queue {
-            self.seen.insert(c.clone());
-        }
-        for b in self.proposed.values() {
-            for c in b.commands() {
-                self.seen.insert(c.clone());
-            }
-        }
+        self.settle_below(upto_slot, &full);
         self.flattened = upto_slot as usize;
         self.inner.install_decided_prefix(upto_slot);
         // Anything the inner replica had already decided above the
         // snapshot recommits contiguously; flatten it in.
         self.flatten(Round::new(round.max(1)));
         true
+    }
+
+    /// The queue side of a snapshot install at `upto_slot`: drops the
+    /// commands in `applied` from both queues, puts the unapplied commands
+    /// of our proposals below the cut back on the relay list, and re-marks
+    /// everything still queued or proposed as held.
+    fn settle_below(&mut self, upto_slot: crate::Slot, applied: &std::collections::HashSet<V>) {
+        let kept = self.proposed.split_off(&upto_slot);
+        let lost: Vec<V> = std::mem::replace(&mut self.proposed, kept)
+            .into_values()
+            .flat_map(Batch::into_commands)
+            .filter(|c| !applied.contains(c))
+            .collect();
+        self.queue.retain(|c| !applied.contains(c));
+        self.to_relay.retain(|c| !applied.contains(c));
+        self.relaying = self.to_relay.iter().cloned().collect();
+        self.relay_again(lost);
+        self.held = self
+            .queue
+            .iter()
+            .chain(self.proposed.values().flat_map(Batch::commands))
+            .cloned()
+            .collect();
     }
 
     /// Installs a **folded** snapshot: the applied prefix below
@@ -500,27 +576,17 @@ impl<V: Value> BatchingReplica<V> {
         self.applied_base = usize::try_from(applied_len).unwrap_or(usize::MAX);
         self.applied_set.clear();
         self.dedup_window.clear();
-        self.seen.clear();
         for (cmd, slot) in dedup {
             if *slot < upto_slot && slot + self.dedup_horizon >= upto_slot {
                 self.applied_set.insert(cmd.clone());
-                self.seen.insert(cmd.clone());
                 self.dedup_window.push_back((*slot, cmd.clone()));
             }
         }
-        // The carried dedup window purges the local queue of commands the
-        // cluster already applied; stale proposals below the cut go too.
-        let applied_set = &self.applied_set;
-        self.queue.retain(|c| !applied_set.contains(c));
-        self.proposed.retain(|s, _| *s >= upto_slot);
-        for c in &self.queue {
-            self.seen.insert(c.clone());
-        }
-        for b in self.proposed.values() {
-            for c in b.commands() {
-                self.seen.insert(c.clone());
-            }
-        }
+        // The carried dedup window purges the local queues of commands
+        // the cluster already applied.
+        let applied = std::mem::take(&mut self.applied_set);
+        self.settle_below(upto_slot, &applied);
+        self.applied_set = applied;
         self.flattened = upto_slot as usize;
         self.inner.install_decided_prefix(upto_slot);
         // Anything the inner replica had already decided above the
@@ -543,19 +609,14 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
     }
 
     fn send(&mut self, r: Round) -> Outgoing<Self::Msg> {
-        // Offer the queue front to the inner replica, re-chunked every
-        // round so late arrivals join a batch right up to the proposing
-        // round. At most `window − open` slots can open now, and none
-        // without demand, so only that many cap-sized chunks are
-        // materialized — per-round cost stays O(window · cap) however deep
-        // the queue backs up (the open-loop overload case must not go
-        // quadratic in queue length).
-        let demand = self.has_demand();
-        let can_open = if demand {
-            self.inner.window.saturating_sub(self.inner.open.len())
-        } else {
-            0
-        };
+        // Offer the queue front to the inner replica, one cap-sized chunk
+        // per slot it may open: demand, bounded by the free window. Only
+        // that many chunks are materialized — per-round cost stays
+        // O(window · cap) however deep the queue backs up (the open-loop
+        // overload case must not go quadratic in queue length).
+        let can_open = self
+            .demand()
+            .min(self.inner.window.saturating_sub(self.inner.open.len()));
         let built: Vec<Batch<V>> = self
             .queue
             .chunks(self.cap)
@@ -565,12 +626,12 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
         let offered = built.len();
         let first_new = self.inner.next_slot;
         self.inner.pending = built.clone();
-        self.inner.demand = Some(demand);
+        self.inner.budget = Some(can_open);
         let mut out = self.inner.send(r);
         // Slots opened this round consumed chunks front-first; keep the
         // consumed batches (shared with the engines' proposals) for the
-        // lost-command re-queue map and drain their commands from the
-        // queue (unconsumed offers stay in the queue only).
+        // lost-command map and drain their commands from the queue
+        // (unconsumed offers stay in the queue only).
         let consumed = offered - self.inner.pending.len();
         self.inner.pending.clear();
         let mut drained = 0;
@@ -579,71 +640,55 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
             self.proposed.insert(first_new + j as crate::Slot, chunk);
         }
         self.queue.drain(..drained);
-        // Relay every command in flight here but possibly unknown
-        // elsewhere: batches proposed for still-open slots, then the
-        // queue front. Whichever replica's batch wins an upcoming slot
-        // can then carry these commands. Without this, a replica whose
-        // proposals systematically lose (the coordinator's value wins
-        // every Paxos/PBFT slot; DeterministicMin sorts another replica's
-        // commands first) starves its clients forever.
-        let mut relay: Vec<V> = Vec::new();
-        for mine in self.proposed.values() {
-            relay.extend(mine.commands().iter().cloned());
-            if relay.len() >= self.cap {
+        // Relay each command once, up to window × cap per round, in
+        // cap-sized chunks: every replica (this one through its loopback
+        // bundle) queues it on hearing the relay, so whichever replica's
+        // batch wins an upcoming slot can carry it. Without relays, a
+        // replica whose proposals systematically lose (the coordinator's
+        // value wins every Paxos/PBFT slot; DeterministicMin sorts another
+        // replica's commands first) would starve its clients forever. A
+        // command some peer already relayed to us needs no relay of ours.
+        let mut left = self.inner.window * self.cap;
+        let mut chunks: Vec<Vec<V>> = Vec::new();
+        while left > 0 {
+            let Some(cmd) = self.to_relay.pop_front() else {
                 break;
+            };
+            self.relaying.remove(&cmd);
+            if self.held.contains(&cmd) || self.applied_set.contains(&cmd) {
+                continue;
+            }
+            left -= 1;
+            match chunks.last_mut() {
+                Some(chunk) if chunk.len() < self.cap => chunk.push(cmd),
+                _ => chunks.push(vec![cmd]),
             }
         }
-        relay.extend(
-            self.queue
-                .iter()
-                .take(self.cap.saturating_sub(relay.len()))
-                .cloned(),
-        );
-        relay.truncate(self.cap);
-        if !relay.is_empty() {
-            let chunk = Batch::new(relay);
-            match &mut out {
-                Outgoing::Broadcast(bundle) => bundle.push_relay(chunk),
-                Outgoing::Silent => {
-                    let mut bundle = self.inner.stamped_bundle();
-                    bundle.push_relay(chunk);
-                    out = Outgoing::Broadcast(bundle);
+        if !chunks.is_empty() {
+            if matches!(out, Outgoing::Silent) {
+                out = Outgoing::Broadcast(self.inner.stamped_bundle());
+            }
+            if let Outgoing::Broadcast(bundle) = &mut out {
+                for chunk in chunks {
+                    bundle.push_relay(Batch::new(chunk));
                 }
-                _ => {}
             }
         }
         out
     }
 
     fn receive(&mut self, r: Round, heard: &HeardOf<Self::Msg>) {
-        // Merge relayed commands into the local queue (deduplicated):
-        // dissemination, so any proposer's winning batch can carry them.
-        let mut relayed: Vec<V> = Vec::new();
+        // Heard relays join the proposal queue in sender order, so every
+        // replica that heard the same bundles holds the same queue.
         for (_, bundle) in heard.iter() {
-            for batch in bundle.relays() {
-                for cmd in batch.commands() {
-                    if !self.seen.contains(cmd) {
-                        relayed.push(cmd.clone());
-                    }
-                }
-            }
+            self.merge_relays(bundle.relays());
             if let Some(high) = bundle.max_slot() {
                 // Peer input: a lying slot number must not overflow.
                 self.heard_next = self.heard_next.max(high.saturating_add(1));
             }
         }
-        self.submit_all(relayed);
         self.inner.receive(r, heard);
         self.flatten(r);
-        // Demand for the next round, judged against the applied set after
-        // this round's commits — a command that just applied needs no slot.
-        let applied_set = &self.applied_set;
-        self.relay_demand = heard.iter().any(|(_, bundle)| {
-            bundle
-                .relays()
-                .iter()
-                .any(|batch| batch.commands().iter().any(|c| !applied_set.contains(c)))
-        });
     }
 
     fn output(&self) -> Option<Vec<V>> {
@@ -661,7 +706,7 @@ impl<V: Value> std::fmt::Debug for BatchingReplica<V> {
             .field("id", &self.inner.id.to_string())
             .field("cap", &self.cap)
             .field("applied", &self.applied.len())
-            .field("queued", &self.queue.len())
+            .field("queued", &self.queued())
             .field("slots", &self.inner.committed.len())
             .finish()
     }
@@ -671,7 +716,7 @@ impl<V: Value> std::fmt::Debug for BatchingReplica<V> {
 mod tests {
     use super::*;
     use gencon_algos::{paxos, pbft};
-    use gencon_sim::{properties, CrashPlan, Simulation};
+    use gencon_sim::{properties, CrashPlan, DeliveryPlan, Scripted, Simulation};
 
     fn run_batched(
         spec: &gencon_algos::AlgorithmSpec<Batch<u64>>,
@@ -811,20 +856,29 @@ mod tests {
     }
 
     /// One replica's view of one lock-step round.
-    #[derive(Clone, Copy)]
+    #[derive(Clone)]
     struct Mark {
         /// The next slot to open, after the send step.
         next_slot: crate::Slot,
+        /// The batches this replica proposed for the slots it opened in
+        /// the send step.
+        opened: Vec<(crate::Slot, Batch<u64>)>,
         /// After the receive step.
         quiescent: bool,
         applied: usize,
+        /// The commands applied in the receive step.
+        newly: Vec<u64>,
+        lingering: usize,
     }
 
-    /// A replica that logs a [`Mark`] per round and submits `late.1`
-    /// before its send step in round `late.0`.
+    /// What replica `i` submits before its send step in round `r`.
+    type Feed = fn(usize, u64) -> Option<u64>;
+
+    /// A replica that logs a [`Mark`] per round and submits what its
+    /// [`Feed`] hands it before each send step.
     struct Probe {
         rep: BatchingReplica<u64>,
-        late: Option<(u64, u64)>,
+        feed: Feed,
         marks: std::sync::Arc<std::sync::Mutex<Vec<Mark>>>,
     }
 
@@ -841,31 +895,66 @@ mod tests {
         }
 
         fn send(&mut self, r: Round) -> Outgoing<Self::Msg> {
-            if let Some((at, cmd)) = self.late {
-                if at == r.number() {
-                    self.rep.submit(cmd);
-                }
+            if let Some(cmd) = (self.feed)(self.rep.id().index(), r.number()) {
+                self.rep.submit(cmd);
             }
+            let first_new = self.rep.inner.next_slot;
             let out = self.rep.send(r);
             self.marks.lock().unwrap().push(Mark {
                 next_slot: self.rep.inner.next_slot,
+                opened: self
+                    .rep
+                    .proposed
+                    .range(first_new..)
+                    .map(|(s, b)| (*s, b.clone()))
+                    .collect(),
                 quiescent: false,
                 applied: 0,
+                newly: Vec::new(),
+                lingering: 0,
             });
             out
         }
 
         fn receive(&mut self, r: Round, heard: &HeardOf<Self::Msg>) {
+            let before = self.rep.applied().len();
             self.rep.receive(r, heard);
             let mut marks = self.marks.lock().unwrap();
             let mark = marks.last_mut().expect("send logged this round");
+            mark.newly = self.rep.applied()[before..].to_vec();
             mark.quiescent = self.rep.is_quiescent();
             mark.applied = self.rep.applied_len();
+            mark.lingering = self.rep.inner.lingering.len();
         }
 
         fn output(&self) -> Option<Vec<u64>> {
             self.rep.output()
         }
+    }
+
+    type Marks = std::sync::Arc<std::sync::Mutex<Vec<Mark>>>;
+
+    /// Four probes (window 4, cap 4, commit target `target`) fed by
+    /// `feed`, and their mark logs.
+    fn probes(feed: Feed, target: usize) -> (Vec<Probe>, Vec<Marks>) {
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        let logs: Vec<Marks> = (0..4).map(|_| Marks::default()).collect();
+        let probes = logs
+            .iter()
+            .enumerate()
+            .map(|(i, log)| Probe {
+                rep: BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 4, target)
+                    .unwrap()
+                    .with_window(4),
+                feed,
+                marks: std::sync::Arc::clone(log),
+            })
+            .collect();
+        (probes, logs)
+    }
+
+    fn collect(logs: &[Marks]) -> Vec<Vec<Mark>> {
+        logs.iter().map(|l| l.lock().unwrap().clone()).collect()
     }
 
     /// Quiescence is symmetric in lock step: four replicas that drain a
@@ -891,7 +980,7 @@ mod tests {
             rep.submit_all((0..4).map(|k| i as u64 * 100 + k));
             builder = builder.honest(Probe {
                 rep,
-                late: (i == 2).then_some((LATE_AT, 999)),
+                feed: |i, r| (i == 2 && r == LATE_AT).then_some(999),
                 marks: std::sync::Arc::clone(log),
             });
         }
@@ -927,11 +1016,22 @@ mod tests {
             }
         }
         // The submission relays in round LATE_AT; every replica hears it
-        // and opens the next slot in round LATE_AT + 1.
+        // and opens exactly one slot for it in round LATE_AT + 1, whose
+        // validation and decision rounds (the first selection round is
+        // skipped) leave every replica quiescent after round LATE_AT + 2.
         for m in &marks {
             assert!(!m[late].quiescent);
             assert_eq!(m[late].next_slot, m[q].next_slot);
-            assert!(m[late + 1].next_slot > m[q].next_slot);
+            assert_eq!(
+                m[late + 1].next_slot,
+                m[q].next_slot + 1,
+                "one command opens one slot"
+            );
+            assert_eq!(m[late + 2].applied, BLOCK + 1);
+            assert!(
+                m[late + 2].quiescent,
+                "quiescent within 3 rounds of the submission"
+            );
         }
     }
 
@@ -967,31 +1067,24 @@ mod tests {
     /// any) never sends. Returns the speaking replicas' marks.
     fn one_command_run(mute: Option<usize>, rounds: u64) -> Vec<Vec<Mark>> {
         let spec = pbft::<Batch<u64>>(4, 1).unwrap();
-        let logs: Vec<std::sync::Arc<std::sync::Mutex<Vec<Mark>>>> =
-            (0..4).map(|_| std::sync::Arc::default()).collect();
+        let (probes, logs) = probes(|i, r| (i == 0 && r == 1).then_some(5), 1);
         let mut builder = Simulation::builder(spec.params.cfg);
-        for (i, log) in logs.iter().enumerate() {
-            if Some(i) == mute {
-                builder = builder.honest(Mute(ProcessId::new(i)));
-                continue;
-            }
-            let rep = BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 4, 1)
-                .unwrap()
-                .with_window(4);
-            builder = builder.honest(Probe {
-                rep,
-                late: (i == 0).then_some((1, 5)),
-                marks: std::sync::Arc::clone(log),
-            });
+        for (i, probe) in probes.into_iter().enumerate() {
+            builder = if Some(i) == mute {
+                builder.honest(Mute(ProcessId::new(i)))
+            } else {
+                builder.honest(probe)
+            };
         }
         let mut sim = builder.build().unwrap();
         for _ in 0..rounds {
             sim.step();
         }
-        (0..4)
-            .filter(|&i| Some(i) != mute)
-            .map(|i| logs[i].lock().unwrap().clone())
-            .collect()
+        let mut marks = collect(&logs);
+        if let Some(i) = mute {
+            marks.remove(i);
+        }
+        marks
     }
 
     /// `(commit, quiescent)`: the first round index at which every live
@@ -1007,9 +1100,10 @@ mod tests {
         (commit, quiet)
     }
 
-    /// Once every replica committed a slot, the bundles' watermarks show
-    /// it: the lingering engines retire in the next round instead of
-    /// voting on for the whole linger bound.
+    /// A slot whose deciding round heard every replica retires at once;
+    /// otherwise, once every replica committed it, the bundles' watermarks
+    /// show it and the lingering engines retire in the next round. Either
+    /// way nobody votes on for the whole linger bound.
     #[test]
     fn decided_slots_retire_once_every_replica_committed() {
         let marks = one_command_run(None, 30);
@@ -1036,6 +1130,182 @@ mod tests {
             "lingers for exactly the bound with a silent peer"
         );
         assert!(marks.iter().all(|m| m[quiet].applied == 1));
+    }
+
+    /// The lock-step log of every replica: the commands it applied, in
+    /// order.
+    fn applied_logs(marks: &[Vec<Mark>]) -> Vec<Vec<u64>> {
+        marks
+            .iter()
+            .map(|m| m.iter().flat_map(|x| x.newly.iter().copied()).collect())
+            .collect()
+    }
+
+    /// `r * 10 + i` from every replica in every round up to
+    /// `FEED_ROUNDS`: one fresh command per replica per round.
+    const FEED_ROUNDS: u64 = 60;
+    fn one_per_replica_per_round(i: usize, r: u64) -> Option<u64> {
+        (r <= FEED_ROUNDS).then_some(r * 10 + i as u64)
+    }
+
+    /// In good rounds every replica hears the same relays, so every
+    /// replica cuts the identical batch for every new slot in the same
+    /// round: proposals are unanimous, no slot opens empty, and every
+    /// command applies three rounds after its submission.
+    #[test]
+    fn every_replica_proposes_the_same_batch_in_good_rounds() {
+        let (probes, logs) = probes(one_per_replica_per_round, usize::MAX);
+        let mut builder = Simulation::builder(probes[0].rep.config());
+        for p in probes {
+            builder = builder.honest(p);
+        }
+        let mut sim = builder.build().unwrap();
+        for _ in 0..FEED_ROUNDS + 2 {
+            sim.step();
+        }
+        let marks = collect(&logs);
+        for k in 0..marks[0].len() {
+            for m in &marks[1..] {
+                assert_eq!(m[k].opened, marks[0][k].opened, "round {}", k + 1);
+            }
+        }
+        let opened: Vec<&(crate::Slot, Batch<u64>)> =
+            marks[0].iter().flat_map(|m| &m.opened).collect();
+        assert!(opened.iter().all(|(_, b)| b.len() == 4), "{opened:?}");
+        let logs = applied_logs(&marks);
+        assert_eq!(
+            logs[0].len(),
+            4 * FEED_ROUNDS as usize,
+            "round FEED_ROUNDS + 2 applies the last"
+        );
+        for log in &logs {
+            assert_eq!(log, &logs[0], "identical applied logs");
+        }
+    }
+
+    /// Relays one command per destination, a different one to each, and
+    /// nothing else: a Byzantine relayer that splits the honest
+    /// replicas' proposal queues every round.
+    struct Liar(ProcessId);
+
+    impl gencon_rounds::Adversary for Liar {
+        type Msg = SmrMsg<Batch<u64>>;
+
+        fn id(&self) -> ProcessId {
+            self.0
+        }
+
+        fn send(&mut self, r: Round) -> Outgoing<Self::Msg> {
+            Outgoing::PerDest(
+                (0..4)
+                    .map(|d| {
+                        let mut bundle = SmrMsg::new();
+                        bundle.push_relay(Batch::new(vec![1_000_000 + r.number() * 10 + d]));
+                        (ProcessId::new(d as usize), bundle)
+                    })
+                    .collect(),
+            )
+        }
+
+        fn observe(&mut self, _r: Round, _heard: &HeardOf<Self::Msg>) {}
+    }
+
+    /// Diverging proposals only cost a slot its phase-1 shortcut: with
+    /// one relay lost to one replica, or a Byzantine relayer telling each
+    /// peer something else, every honest command still commits and the
+    /// honest logs agree.
+    #[test]
+    fn a_lost_relay_or_a_lying_relayer_keeps_every_command_live() {
+        let p = ProcessId::new;
+        for liar in [false, true] {
+            let (probes, logs) = probes(one_per_replica_per_round, usize::MAX);
+            let mut builder = Simulation::builder(probes[0].rep.config());
+            for (i, probe) in probes.into_iter().enumerate() {
+                builder = if liar && i == 3 {
+                    builder.byzantine(Liar(p(3)))
+                } else {
+                    builder.honest(probe)
+                };
+            }
+            // Replica 0's round-3 relay never reaches replica 2.
+            let net = Scripted::new(
+                move |r: Round, n| {
+                    let mut plan = DeliveryPlan::full(n);
+                    if r.number() == 3 {
+                        plan.set(p(0), p(2), false);
+                    }
+                    plan
+                },
+                |r: Round| r.number() != 3,
+            );
+            let mut sim = builder.network(net).build().unwrap();
+            for _ in 0..FEED_ROUNDS + 60 {
+                sim.step();
+            }
+            let mut marks = collect(&logs);
+            let honest = if liar { 3 } else { 4 };
+            marks.truncate(honest);
+            // The premise: replica 2 proposed without replica 0's command.
+            assert_ne!(marks[2][3].opened, marks[0][3].opened, "liar {liar}");
+            let logs = applied_logs(&marks);
+            for log in &logs {
+                assert_eq!(log, &logs[0], "honest logs agree (liar {liar})");
+            }
+            let mut expect: Vec<u64> = (1..=FEED_ROUNDS)
+                .flat_map(|r| (0..honest as u64).map(move |i| r * 10 + i))
+                .collect();
+            expect.sort_unstable();
+            let mut got: Vec<u64> = logs[0].iter().copied().filter(|&c| c < 1_000_000).collect();
+            got.sort_unstable();
+            assert_eq!(got, expect, "every honest command commits (liar {liar})");
+        }
+    }
+
+    /// A replica that hears nobody in a slot's decision round misses the
+    /// decision, while the others, having heard all four replicas on the
+    /// slot, retire it at once. The laggard keeps working the slot, its
+    /// next bundle draws `b + 1` decision claims, and it adopts the
+    /// decision from them.
+    #[test]
+    fn a_replica_that_misses_the_decision_adopts_it_from_claims() {
+        let p = ProcessId::new;
+        let (probes, logs) = probes(|i, r| (i == 0 && r == 1).then_some(5), usize::MAX);
+        let mut builder = Simulation::builder(probes[0].rep.config());
+        for probe in probes {
+            builder = builder.honest(probe);
+        }
+        // Round 1 relays, round 2 validates, round 3 decides: replica 3
+        // hears only itself in round 3.
+        let net = Scripted::new(
+            move |r: Round, n| {
+                let mut plan = DeliveryPlan::full(n);
+                if r.number() == 3 {
+                    for from in 0..3 {
+                        plan.set(p(from), p(3), false);
+                    }
+                }
+                plan
+            },
+            |r: Round| r.number() != 3,
+        );
+        let mut sim = builder.network(net).build().unwrap();
+        for _ in 0..10 {
+            sim.step();
+        }
+        let marks = collect(&logs);
+        for m in &marks[..3] {
+            assert_eq!(m[2].applied, 1, "decided in round 3");
+            assert_eq!(m[2].lingering, 0, "retired at once");
+        }
+        assert_eq!(marks[3][2].applied, 0, "replica 3 missed the decision");
+        let adopted = marks[3]
+            .iter()
+            .position(|x| x.applied == 1)
+            .expect("replica 3 adopts the decision");
+        assert!(adopted <= 5, "adopted in round {}", adopted + 1);
+        for log in applied_logs(&marks) {
+            assert_eq!(log, vec![5]);
+        }
     }
 
     /// A peer bundle naming slot `u64::MAX` (a lying peer) raises demand

@@ -18,13 +18,16 @@
 //! # The batch commit path
 //!
 //! [`Replica`] proposes one client command per slot. Under load that wastes
-//! the fixed per-slot round cost, so [`BatchingReplica`] amortizes it: each
-//! new slot drains up to `batch_cap` queued commands into one
-//! [`Batch`](gencon_types::Batch) proposal, the decided batch is
-//! **flattened** into the applied log in batch order, and the replica's
-//! output is the flattened command log. Per-slot Agreement is untouched — a
-//! batch is just a value — so honest replicas still apply identical command
-//! sequences; throughput per round scales with the batch size. A slot that
+//! the fixed per-slot round cost, so [`BatchingReplica`] amortizes it: a
+//! submitted command is relayed once to every replica, each new slot
+//! drains up to `batch_cap` heard commands into one
+//! [`Batch`](gencon_types::Batch) proposal — the same batch on every
+//! replica in a good round, so the slot skips phase 1's selection round —
+//! the decided batch is **flattened** into the applied log in batch order,
+//! and the replica's output is the flattened command log. Per-slot
+//! Agreement is untouched — a batch is just a value — so honest replicas
+//! still apply identical command sequences; throughput per round scales
+//! with the batch size. A slot that
 //! opens with a dry queue proposes the empty batch; it sorts *last*, so a
 //! slot never commits it while any replica proposed real commands, and
 //! commands whose batch lost its slot are re-queued for a later one.
@@ -45,15 +48,23 @@
 //! one (it is not a running maximum): a restarted peer counts again. The
 //! same stamp stops decision claims for slots the sender already has.
 //!
+//! A slot that decides in a round in which the replica heard all `n`
+//! processes on it retires at once, without lingering for watermarks:
+//! every process took part in the deciding round, and one that still
+//! missed the decision keeps working the slot, so its next bundle draws
+//! the claims it adopts the decision from.
+//!
 //! # Quiescence
 //!
 //! Rounds are a logical clock: a [`BatchingReplica`] opens slots only on
-//! **demand** — when a bundle it heard relays a command not yet applied,
-//! or references a slot it has not opened yet. Every replica hears the
-//! same bundles in a good round and shares the applied set, so all of them
-//! still open the same slot in the same round. With nothing to order the
-//! replica turns [`BatchingReplica::is_quiescent`], and a driver may stop
-//! executing rounds until a submission or a peer's frame brings work.
+//! **demand**, and only as many as it needs — one per cap-sized chunk of
+//! its proposal queue (the commands it heard relayed and has not seen
+//! applied), or as many as peers' bundles reference beyond its own, within
+//! the window. Every replica hears the same bundles in a good round and
+//! shares the applied set, so all of them open the same slots in the same
+//! round, with the same batches. With nothing to order the replica turns
+//! [`BatchingReplica::is_quiescent`], and a driver may stop executing
+//! rounds until a submission or a peer's frame brings work.
 //!
 //! # Example
 //!
@@ -96,7 +107,8 @@ pub type Slot = u64;
 /// Rounds a decided slot's engine keeps voting at most — two phases of a
 /// 3-round class — so replicas that missed the deciding round still reach
 /// `TD`. It retires earlier once every process's watermark shows the slot
-/// committed.
+/// committed, and does not linger at all when the deciding round heard
+/// every process on the slot.
 pub const LINGER_ROUNDS: u64 = 6;
 
 /// Messages of the replicated log: per-slot consensus messages, bundled per
@@ -121,14 +133,15 @@ pub const LINGER_ROUNDS: u64 = 6;
 /// point, so every slot below it is committed at the sender (see the
 /// crate docs on commit watermarks).
 ///
-/// A bundle also carries **relays**: values holding commands the sender
-/// has queued but not yet seen committed. Receivers merge relayed
-/// commands into their own queues (deduplicated), so every pending
-/// command reaches every proposer. Without relays, commands starve at
-/// replicas whose proposals systematically lose — the leader's value wins
-/// every Paxos/PBFT slot, and `DeterministicMin` tie-breaks sort one
-/// replica's commands ahead of another's — so under load only one
-/// replica's clients would ever be served. Relays are the dissemination
+/// A bundle also carries **relays**: values holding commands submitted
+/// at the sender, each relayed once (and again only if the sender's batch
+/// carrying it lost its slot). Receivers — the sender included —
+/// append relayed commands to their proposal queues (deduplicated), so
+/// every pending command reaches every proposer. Without relays, commands
+/// starve at replicas whose proposals systematically lose — the leader's
+/// value wins every Paxos/PBFT slot, and `DeterministicMin` tie-breaks
+/// sort one replica's commands ahead of another's — so under load only
+/// one replica's clients would ever be served. Relays are the dissemination
 /// half of a real SMR service: any replica accepts a submission, the
 /// winning batch (whosever it is) carries it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -292,10 +305,11 @@ pub struct Replica<V: Value> {
     window: usize,
     /// Replica reports `output()` once this many commands committed.
     commit_target: usize,
-    /// The slot-opening gate: `None` keeps the window full (empty queues
-    /// propose the no-op), `Some(d)` opens new slots only while `d` holds
-    /// — the batching replica's demand, set before each send.
-    demand: Option<bool>,
+    /// The slot-opening budget: `None` keeps the window full (empty
+    /// queues propose the no-op), `Some(k)` opens at most `k` new slots
+    /// in the next send — the batching replica's demand, set before each
+    /// send.
+    budget: Option<usize>,
 }
 
 impl<V: Value> Replica<V> {
@@ -340,7 +354,7 @@ impl<V: Value> Replica<V> {
             next_slot: 0,
             window: 1,
             commit_target,
-            demand: None,
+            budget: None,
         })
     }
 
@@ -429,18 +443,18 @@ impl<V: Value> Replica<V> {
             && self.claim_queue.is_empty()
     }
 
-    /// Opens new slots up to the window limit while the demand gate is
-    /// open. Slot openings are a pure function of (committed count, open
-    /// count, demand, round); demand comes from the round's heard bundles,
-    /// so in a good round it is identical on every honest replica.
+    /// Opens new slots up to the window limit and the opening budget.
+    /// Slot openings are a pure function of (committed count, open count,
+    /// budget, round); the budget comes from the round's heard bundles, so
+    /// in a good round it is identical on every honest replica.
     fn refill_window(&mut self, now: Round) {
-        if self.demand == Some(false) {
-            return;
-        }
-        while self.open.len() < self.window
+        let mut budget = self.budget.unwrap_or(usize::MAX);
+        while budget > 0
+            && self.open.len() < self.window
             && (self.committed_len() + self.decided.len() + self.open.len())
                 < self.commit_target.max(self.committed_len() + 1)
         {
+            budget -= 1;
             let slot = self.next_slot;
             self.next_slot += 1;
             let proposal = if self.pending.is_empty() {
@@ -590,10 +604,16 @@ impl<V: Value> Replica<V> {
         self.claim_votes.retain(|s, _| open_slots.contains(s));
     }
 
-    /// Harvests decided slots (retiring their engines into the linger set),
-    /// commits in order, and retires lingering engines that are past the
-    /// linger bound or below every process's watermark.
-    fn harvest(&mut self, now: Round) {
+    /// Harvests decided slots (retiring their engines into the linger set,
+    /// unless the slot is in `full`), commits in order, and retires
+    /// lingering engines that are past the linger bound or below every
+    /// process's watermark.
+    ///
+    /// `full` lists the slots this round heard all `n` processes on. Such
+    /// a slot retires as soon as it decides: every process took part in
+    /// the deciding round, and one that still missed the decision adopts
+    /// it from the `b + 1` claims its next bundle draws.
+    fn harvest(&mut self, now: Round, full: &[Slot]) {
         let newly: Vec<Slot> = self
             .open
             .iter()
@@ -604,7 +624,9 @@ impl<V: Value> Replica<V> {
             let (engine, opened) = self.open.remove(&slot).expect("slot is open");
             let d = engine.decision().expect("checked above").clone();
             self.decided.insert(slot, d.value);
-            self.lingering.insert(slot, (engine, opened, now.number()));
+            if !full.contains(&slot) {
+                self.lingering.insert(slot, (engine, opened, now.number()));
+            }
         }
         // Commit the contiguous prefix.
         while let Some(v) = self.decided.remove(&(self.committed_len() as Slot)) {
@@ -702,6 +724,7 @@ impl<V: Value> RoundProcess for Replica<V> {
         }
         self.align_openings(r, heard);
         self.exchange_claims(heard);
+        let mut full: Vec<Slot> = Vec::new();
         let live = self
             .open
             .iter_mut()
@@ -719,9 +742,12 @@ impl<V: Value> RoundProcess for Replica<V> {
                     slot_heard.put(sender, m.clone());
                 }
             }
+            if slot_heard.count() == n {
+                full.push(slot);
+            }
             engine.receive(local, &slot_heard);
         }
-        self.harvest(r);
+        self.harvest(r, &full);
     }
 
     fn output(&self) -> Option<Vec<V>> {
