@@ -11,13 +11,15 @@
 //!   is the unit of durability and of `b + 1`-vouched chunked state
 //!   transfer.
 //!
-//! Both take the replica's retained applied suffix as plain slices
-//! (`applied`, `slots`, absolute `base` offset), so this crate stays
-//! independent of the SMR types.
+//! Both read the replica's applied log in its one form, a run of
+//! [`AppliedSlot`]s whose batches the replica shares: the folder's dedup
+//! window keeps those handles, so folding copies a command only into the
+//! encoded [`FoldedState`].
 
 use std::collections::VecDeque;
 
 use gencon_net::FoldedState;
+use gencon_types::{group_by_slot, AppliedSlot, Batch};
 
 use crate::{App, AppError};
 
@@ -96,29 +98,6 @@ impl<A: App> Applier<A> {
         reply
     }
 
-    /// Applies every not-yet-consumed command of the replica's retained
-    /// suffix (`applied`/`slots` starting at absolute offset `base`) up
-    /// to absolute offset `limit`, invoking `on_reply(cmd, slot, offset,
-    /// reply)` for each.
-    pub fn track(
-        &mut self,
-        applied: &[A::Cmd],
-        slots: &[u64],
-        base: u64,
-        limit: u64,
-        mut on_reply: impl FnMut(&A::Cmd, u64, u64, A::Reply),
-    ) {
-        debug_assert!(base <= self.cursor, "compaction ran past the applier");
-        while self.cursor < limit {
-            let i = usize::try_from(self.cursor - base).expect("suffix index fits");
-            let Some(cmd) = applied.get(i) else { break };
-            let slot = slots[i];
-            let offset = self.cursor;
-            let reply = self.apply(slot, cmd);
-            on_reply(cmd, slot, offset, reply);
-        }
-    }
-
     /// Replaces the state with a transferred/recovered [`FoldedState`]:
     /// the app restores its fold and the cursor jumps to the fold's
     /// applied count.
@@ -148,10 +127,11 @@ pub struct Folder<A: App> {
     applied_len: u64,
     /// Every slot below this has been folded.
     covered_slot: u64,
-    /// `(command, applied_slot)` entries within the dedup horizon of the
-    /// last cut — carried in the folded state so an installer's dedup
-    /// decisions match replicas that flattened slot by slot.
-    window: VecDeque<(A::Cmd, u64)>,
+    /// `(slot, applied commands)` within the dedup horizon of the last
+    /// cut, sharing the replica's batches — carried in the folded state so
+    /// an installer's dedup decisions match replicas that flattened slot
+    /// by slot.
+    window: VecDeque<(u64, Batch<A::Cmd>)>,
 }
 
 impl<A: App> Default for Folder<A> {
@@ -196,23 +176,23 @@ impl<A: App> Folder<A> {
         self.app.state_hash()
     }
 
-    /// Absorbs the applied commands with slots in `[covered_slot, cut)`
-    /// from the replica's retained suffix (`applied`/`slots` starting at
-    /// absolute offset `base`; `slots` is non-decreasing). Idempotent per
-    /// offset: already-folded commands are skipped by offset arithmetic.
-    pub fn absorb(&mut self, applied: &[A::Cmd], slots: &[u64], base: u64, cut: u64) {
-        debug_assert!(base <= self.applied_len, "compaction ran past the folder");
+    /// Absorbs the applied slots below `cut` from `log`, the replica's
+    /// applied slots from [`Folder::applied_len`] on (slots already folded
+    /// are skipped).
+    pub fn absorb(&mut self, log: &[AppliedSlot<A::Cmd>], cut: u64) {
         if cut < self.covered_slot {
             return;
         }
-        let start = usize::try_from(self.applied_len - base).expect("suffix index fits");
-        for i in start..applied.len() {
-            if slots[i] >= cut {
-                break;
+        for s in log.iter().take_while(|s| s.slot < cut) {
+            if s.end() <= self.applied_len {
+                continue;
             }
-            self.app.apply(slots[i], self.applied_len, &applied[i]);
-            self.window.push_back((applied[i].clone(), slots[i]));
-            self.applied_len += 1;
+            debug_assert_eq!(s.offset, self.applied_len, "the folder holds whole slots");
+            for cmd in &s.batch {
+                self.app.apply(s.slot, self.applied_len, cmd);
+                self.applied_len += 1;
+            }
+            self.window.push_back((s.slot, s.batch.clone()));
         }
         self.covered_slot = cut;
     }
@@ -222,7 +202,7 @@ impl<A: App> Folder<A> {
     /// with the same horizon produces byte-identical output.
     #[must_use]
     pub fn fold(&mut self, horizon: u64) -> FoldedState<A::Cmd> {
-        while let Some((_, slot)) = self.window.front() {
+        while let Some((slot, _)) = self.window.front() {
             if slot + horizon >= self.covered_slot {
                 break;
             }
@@ -230,7 +210,11 @@ impl<A: App> Folder<A> {
         }
         FoldedState {
             applied_len: self.applied_len,
-            dedup: self.window.iter().cloned().collect(),
+            dedup: self
+                .window
+                .iter()
+                .flat_map(|(slot, batch)| batch.iter().map(|c| (c.clone(), *slot)))
+                .collect(),
             app: self.app.fold_snapshot(),
         }
     }
@@ -245,7 +229,7 @@ impl<A: App> Folder<A> {
         self.app.restore(&fs.app)?;
         self.applied_len = fs.applied_len;
         self.covered_slot = upto_slot;
-        self.window = fs.dedup.iter().cloned().collect();
+        self.window = group_by_slot(&fs.dedup).into();
         Ok(())
     }
 }
@@ -265,32 +249,51 @@ mod tests {
         }
     }
 
-    /// A little applied log: 10 commands over slots 0..5.
-    fn sample() -> (Vec<KvCmd>, Vec<u64>) {
-        let applied: Vec<KvCmd> = (0..10u64).map(|i| put(i, (i % 3) as u8, i)).collect();
-        let slots: Vec<u64> = (0..10u64).map(|i| i / 2).collect();
-        (applied, slots)
+    /// A little applied log: 10 commands over slots 0..5, two per slot.
+    fn sample() -> Vec<AppliedSlot<KvCmd>> {
+        (0..5u64)
+            .map(|slot| AppliedSlot {
+                slot,
+                offset: 2 * slot,
+                batch: Batch::new(
+                    (2 * slot..2 * slot + 2)
+                        .map(|i| put(i, (i % 3) as u8, i))
+                        .collect(),
+                ),
+            })
+            .collect()
+    }
+
+    /// Feeds the commands of `log` from the applier's cursor on,
+    /// returning `(offset, reply)` per command.
+    fn feed(applier: &mut Applier<KvApp>, log: &[AppliedSlot<KvCmd>]) -> Vec<(u64, KvReply)> {
+        let from = applier.cursor();
+        let mut replies = Vec::new();
+        for s in log {
+            for (offset, cmd) in s.commands_from(from) {
+                replies.push((offset, applier.apply(s.slot, cmd)));
+            }
+        }
+        replies
     }
 
     #[test]
     fn applier_tracks_in_order_and_captures_hash() {
-        let (applied, slots) = sample();
+        let log = sample();
         let mut applier = Applier::<KvApp>::default().with_hash_target(7);
-        let mut replies = Vec::new();
-        applier.track(&applied, &slots, 0, 4, |_, _, off, r| {
-            replies.push((off, r))
-        });
+        let replies = feed(&mut applier, &log[..2]);
         assert_eq!(applier.cursor(), 4);
         assert_eq!(replies.len(), 4);
         assert_eq!(replies[0], (0, KvReply::Stored { replaced: false }));
         assert_eq!(replies[3], (3, KvReply::Stored { replaced: true }));
         assert!(applier.captured_hash().is_none());
         // Continue past the target; the hash snaps at exactly 7.
-        applier.track(&applied, &slots, 0, 10, |_, _, _, _| {});
+        feed(&mut applier, &log);
+        assert_eq!(applier.cursor(), 10);
         let captured = applier.captured_hash().expect("hit 7 exactly");
         let mut reference = KvApp::default();
-        for i in 0..7 {
-            reference.apply(slots[i], i as u64, &applied[i]);
+        for (offset, cmd) in log.iter().flat_map(|s| s.commands_from(0)).take(7) {
+            reference.apply(offset / 2, offset, cmd);
         }
         assert_eq!(captured, reference.state_hash());
         assert_ne!(captured, applier.app().state_hash(), "state moved on");
@@ -298,15 +301,15 @@ mod tests {
 
     #[test]
     fn folder_folds_identically_regardless_of_cut_history() {
-        let (applied, slots) = sample();
+        let log = sample();
         // Folder 1 folds at cut 2, then 4; folder 2 folds straight at 4.
         let mut f1 = Folder::<KvApp>::default();
-        f1.absorb(&applied, &slots, 0, 2);
+        f1.absorb(&log, 2);
         let _ = f1.fold(100);
-        f1.absorb(&applied, &slots, 0, 4);
+        f1.absorb(&log, 4);
         let s1 = f1.fold(100);
         let mut f2 = Folder::<KvApp>::default();
-        f2.absorb(&applied, &slots, 0, 4);
+        f2.absorb(&log, 4);
         let s2 = f2.fold(100);
         assert_eq!(s1, s2, "fold at a cut is independent of fold history");
         assert_eq!(s1.applied_len, 8, "slots 0..4 hold 8 commands");
@@ -314,39 +317,42 @@ mod tests {
 
     #[test]
     fn folder_window_respects_the_horizon() {
-        let (applied, slots) = sample();
+        let log = sample();
         let mut f = Folder::<KvApp>::default();
-        f.absorb(&applied, &slots, 0, 5);
+        f.absorb(&log, 5);
         // Horizon 2: only commands applied in slots 3 and 4 stay.
         let fs = f.fold(2);
         assert_eq!(fs.dedup.len(), 4);
         assert!(fs.dedup.iter().all(|(_, s)| *s + 2 >= 5));
-        // A huge horizon keeps everything.
+        // A huge horizon keeps everything, in log order.
         let mut f2 = Folder::<KvApp>::default();
-        f2.absorb(&applied, &slots, 0, 5);
-        assert_eq!(f2.fold(1_000).dedup.len(), 10);
+        f2.absorb(&log, 5);
+        let every: Vec<(KvCmd, u64)> = log
+            .iter()
+            .flat_map(|s| s.batch.iter().map(|c| (c.clone(), s.slot)))
+            .collect();
+        assert_eq!(f2.fold(1_000).dedup, every);
     }
 
     #[test]
     fn folder_survives_compaction_of_the_absorbed_prefix() {
-        let (applied, slots) = sample();
+        let log = sample();
         let mut f = Folder::<KvApp>::default();
-        f.absorb(&applied, &slots, 0, 3);
+        f.absorb(&log, 3);
         assert_eq!(f.applied_len(), 6);
-        // The replica compacted the first 4 commands away (base 4); the
+        // The replica compacted the first 2 slots away (base 4); the
         // folder picks up from offset 6 unharmed.
-        f.absorb(&applied[4..], &slots[4..], 4, 5);
+        f.absorb(&log[2..], 5);
         assert_eq!(f.applied_len(), 10);
         let mut reference = Folder::<KvApp>::default();
-        reference.absorb(&applied, &slots, 0, 5);
+        reference.absorb(&log, 5);
         assert_eq!(f.fold(100), reference.fold(100));
     }
 
     #[test]
     fn restore_roundtrips_applier_and_folder() {
-        let (applied, slots) = sample();
         let mut f = Folder::<KvApp>::default();
-        f.absorb(&applied, &slots, 0, 5);
+        f.absorb(&sample(), 5);
         let fs = f.fold(3);
 
         let mut fresh = Folder::<KvApp>::default();

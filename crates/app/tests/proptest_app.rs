@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use gencon_app::{App, BankApp, BankCmd, BankOp, Folder, KvApp, KvCmd, KvOp};
+use gencon_types::{group_by_slot, AppliedSlot};
 
 fn kv_ops() -> impl Strategy<Value = KvOp> {
     let key = proptest::collection::vec(any::<u8>(), 0..6);
@@ -103,18 +104,25 @@ proptest! {
         mid_frac in 0u64..100,
         horizon in 1u64..8,
     ) {
-        let applied: Vec<KvCmd> = stream.iter().map(|(c, _)| c.clone()).collect();
-        let slots: Vec<u64> = stream.iter().map(|(_, s)| *s).collect();
-        let top = slots.last().map_or(0, |s| s + 1);
+        let mut offset = 0;
+        let log: Vec<AppliedSlot<KvCmd>> = group_by_slot(&stream)
+            .into_iter()
+            .map(|(slot, batch)| {
+                let s = AppliedSlot { slot, offset, batch };
+                offset = s.end();
+                s
+            })
+            .collect();
+        let top = log.last().map_or(0, |s| s.slot + 1);
         let mid = (mid_frac * top) / 100;
 
         let mut staged = Folder::<KvApp>::default();
-        staged.absorb(&applied, &slots, 0, mid);
+        staged.absorb(&log, mid);
         let _ = staged.fold(horizon);
-        staged.absorb(&applied, &slots, 0, top);
+        staged.absorb(&log, top);
 
         let mut direct = Folder::<KvApp>::default();
-        direct.absorb(&applied, &slots, 0, top);
+        direct.absorb(&log, top);
 
         prop_assert_eq!(staged.fold(horizon), direct.fold(horizon));
     }

@@ -155,7 +155,6 @@ fn serve<A: App>(args: &[String]) {
             }))
         }),
         write_timeout: Duration::from_millis(parse(args, "--write-timeout-ms", 500)),
-        reack_index_cap: parse(args, "--reack-index-cap", 1 << 20),
     };
 
     // --- durability flags ---
@@ -302,10 +301,14 @@ fn serve<A: App>(args: &[String]) {
         let recovered = recover_replica(&mut replica, &mut folder, &recovery);
         eprintln!(
             "gencon-server {id}: recovered {} slots from snapshot + {} from WAL \
-             ({} commands{}{})",
+             ({} commands{}{}{})",
             recovered.snapshot_slots,
             recovered.replayed_slots,
             recovered.applied,
+            recovered
+                .stranded_slot
+                .map(|s| format!(", WAL replay stopped at slot {s}, not the next slot"))
+                .unwrap_or_default(),
             if recovery.truncated_bytes > 0 {
                 format!(", torn tail truncated: {} bytes", recovery.truncated_bytes)
             } else {

@@ -21,7 +21,8 @@
 //!    survives `kill -9`; under fast-ack the watermark follows apply
 //!    directly (memory semantics with a warm log on disk);
 //! 4. runs the **snapshot policy**: every `snapshot_every` committed
-//!    slots, absorb the newly applied suffix into the [`Folder`] and
+//!    slots, absorb the newly applied slots into the [`Folder`] — its
+//!    dedup window keeps the replica's batch handles, not copies — and
 //!    install its [`FoldedState`] — the application's **folded state**
 //!    (O(live state), not O(history)) plus the replica resume data — as
 //!    the on-disk snapshot (atomic install), compact WAL segments below
@@ -41,9 +42,11 @@
 //!
 //! [`recover_replica`] is the startup half: decode the on-disk
 //! [`FoldedState`], restore the app fold and fast-forward the replica,
-//! then replay the WAL tail through both. The recovered app seeds the
-//! live [`Applier`](gencon_app::Applier) (clone it), so replies and state
-//! hashes continue seamlessly across restarts.
+//! then replay the WAL tail through both, each record under its own slot
+//! number: replay stops at a record that is not the replica's next slot,
+//! so a snapshot that fails to install never renumbers the log. The
+//! recovered app seeds the live [`Applier`](gencon_app::Applier) (clone
+//! it), so replies and state hashes continue seamlessly across restarts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +60,7 @@ use gencon_app::{App, Folder};
 use gencon_metrics::{Counter, Gauge, Histogram, Registry};
 use gencon_net::wire::Wire;
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
-use gencon_smr::{Batch, BatchingReplica};
+use gencon_smr::{AppliedSlot, Batch, BatchingReplica};
 use gencon_store::{Log, Recovery, Snapshot};
 use gencon_trace::{EventKind, FlightRecorder, HashCell, Stage, Tracer};
 
@@ -97,15 +100,21 @@ pub struct RecoveredState {
     pub replayed_slots: u64,
     /// Applied commands after recovery.
     pub applied: usize,
+    /// The slot of the first WAL record left unreplayed because it was
+    /// not the replica's next slot (the snapshot below it did not
+    /// install, or the log has a gap); `None` when every record replayed.
+    pub stranded_slot: Option<u64>,
 }
 
 /// Rebuilds `replica` and `folder` from what the store recovered: the
 /// snapshot's [`FoldedState`] restores the app fold and fast-forwards the
 /// replica (applied history below the cut is *not* re-materialized — the
-/// fold is the state), then every decodable WAL record replays through
-/// the replica and is absorbed into the folder. Returns what was
-/// recovered; undecodable payloads end the replay (the WAL's CRC framing
-/// makes them effectively unreachable).
+/// fold is the state), then the WAL records replay through the replica,
+/// each under its own slot number, and are absorbed into the folder.
+/// Returns what was recovered. Replay stops at the first record whose
+/// slot is not the replica's next slot (reported as
+/// [`RecoveredState::stranded_slot`]), and at the first undecodable
+/// payload (the WAL's CRC framing makes those effectively unreachable).
 pub fn recover_replica<A: App>(
     replica: &mut BatchingReplica<A::Cmd>,
     folder: &mut Folder<A>,
@@ -116,13 +125,17 @@ pub fn recover_replica<A: App>(
         let mut buf = bytes::Bytes::from(snap.state.clone());
         if let Ok(fs) = FoldedState::<A::Cmd>::decode(&mut buf) {
             if folder.restore(&fs, snap.meta.upto_slot).is_ok()
-                && replica.install_folded(&fs.dedup, fs.applied_len, snap.meta.upto_slot, 0)
+                && replica.install_folded(&fs.dedup, fs.applied_len, snap.meta.upto_slot)
             {
                 out.snapshot_slots = snap.meta.upto_slot;
             }
         }
     }
-    for (_slot, payload) in &recovery.records {
+    for (slot, payload) in &recovery.records {
+        if *slot != replica.committed_slots() as u64 {
+            out.stranded_slot = Some(*slot);
+            break;
+        }
         let mut buf = bytes::Bytes::from(payload.clone());
         let Ok(batch) = Batch::<A::Cmd>::decode(&mut buf) else {
             break;
@@ -133,9 +146,7 @@ pub fn recover_replica<A: App>(
     // Fold the replayed tail so the folder's app covers the whole
     // recovered prefix (the live applier is cloned from it).
     folder.absorb(
-        replica.applied(),
-        replica.applied_slots(),
-        replica.applied_base() as u64,
+        replica.applied_from(folder.applied_len()),
         replica.committed_slots() as u64,
     );
     out.applied = replica.applied_len();
@@ -562,9 +573,10 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
             // The absolute applied-command count this slot's durability
             // covers, fixed at ship time (slots at or below `slot` are
             // already applied when it commits).
-            let acked_through = (replica.applied_base()
-                + replica.applied_slots().partition_point(|&s| s <= slot))
-                as u64;
+            let log = replica.applied_from(0);
+            let acked_through = log[..log.partition_point(|s| s.slot <= slot)]
+                .last()
+                .map_or(replica.applied_base() as u64, AppliedSlot::end);
             self.ship(PersistMsg::Append {
                 slot,
                 payload: batch.to_bytes().to_vec(),
@@ -584,12 +596,8 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
     /// Folds the applied suffix up to `cut` and returns the encoded
     /// snapshot state (the wire `FoldedState`).
     fn fold_state_at(&mut self, replica: &BatchingReplica<A::Cmd>, cut: u64) -> Vec<u8> {
-        self.folder.absorb(
-            replica.applied(),
-            replica.applied_slots(),
-            replica.applied_base() as u64,
-            cut,
-        );
+        self.folder
+            .absorb(replica.applied_from(self.folder.applied_len()), cut);
         self.folder
             .fold(replica.dedup_horizon())
             .to_bytes()
@@ -963,13 +971,136 @@ mod tests {
         // The recovered retained suffix matches the original's where they
         // overlap (the folded install retains nothing below its cut,
         // while the original kept a snapshot tail).
-        let lo = replica.applied_base().max(fresh.applied_base());
-        let hi = replica.applied_len().min(fresh.applied_len());
+        let lo = replica.applied_base().max(fresh.applied_base()) as u64;
+        let hi = replica.applied_len().min(fresh.applied_len()) as u64;
         assert!(hi > lo, "suffixes overlap");
-        assert_eq!(
-            &fresh.applied()[lo - fresh.applied_base()..hi - fresh.applied_base()],
-            &replica.applied()[lo - replica.applied_base()..hi - replica.applied_base()]
+        assert_eq!(log_range(&fresh, lo, hi), log_range(&replica, lo, hi));
+        assert_eq!(recovered.stranded_slot, None);
+    }
+
+    /// `(command, slot)` for the replica's applied commands at absolute
+    /// offsets `lo..hi`.
+    fn log_range(rep: &BatchingReplica<u64>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        rep.applied_from(lo)
+            .iter()
+            .flat_map(|s| s.commands_from(lo).map(|(o, c)| (o, *c, s.slot)))
+            .take_while(|&(o, _, _)| o < hi)
+            .map(|(_, c, slot)| (c, slot))
+            .collect()
+    }
+
+    /// A snapshot the app cannot restore leaves the replica at slot 0;
+    /// the WAL records above its cut must not replay as slots 0, 1, …
+    #[test]
+    fn records_above_an_unrestorable_snapshot_are_not_renumbered() {
+        let mut replica = solo_replica(2);
+        let mut durable: LogDurable<NoHook> = DurableNode::new(
+            MemStore::new(),
+            DurableConfig {
+                snapshot_every: 8,
+                snapshot_tail: 2,
+                durable_ack: true,
+            },
+            Folder::default(),
+            NoHook,
         );
+        for r in 1..=40u64 {
+            replica.submit_all([r * 10, r * 10 + 1]);
+            durable.before_round(r, &mut replica);
+            drive_round(&mut replica, r);
+            durable.after_round(r, &mut replica);
+        }
+        durable.flush();
+        let mut recovery = {
+            let store = durable.store();
+            Recovery {
+                snapshot: store.read_snapshot().unwrap(),
+                records: store.records().to_vec(),
+                ..Recovery::default()
+            }
+        };
+        // The fold decodes, but its app bytes are not a `LogApp` fold.
+        let snap = recovery.snapshot.as_mut().expect("a snapshot was taken");
+        let cut = snap.meta.upto_slot;
+        let mut fs =
+            FoldedState::<u64>::decode(&mut bytes::Bytes::from(snap.state.clone())).unwrap();
+        fs.app = vec![0xff; 3];
+        snap.state = fs.to_bytes().to_vec();
+        assert_eq!(recovery.records.first().map(|r| r.0), Some(cut));
+
+        let mut fresh = solo_replica(2);
+        let mut folder: Folder<LogApp<u64>> = Folder::default();
+        let recovered = recover_replica(&mut fresh, &mut folder, &recovery);
+        assert_eq!(recovered.snapshot_slots, 0, "the snapshot did not install");
+        assert_eq!(recovered.replayed_slots, 0);
+        assert_eq!(recovered.stranded_slot, Some(cut));
+        assert_eq!((fresh.committed_slots(), fresh.applied_len()), (0, 0));
+        assert_eq!(folder.applied_len(), 0);
+    }
+
+    /// A command committed twice — twice inside slot 0, then again in
+    /// slot 2 — and another committed again in slot 3 apply once each, in
+    /// their first slot. Straight replay, compaction at the cut and a
+    /// folded install at the cut all skip them identically, and the fold's
+    /// dedup window lists the per-command `(cmd, slot)` log below the cut.
+    /// Slots that skip nothing share the committed batch.
+    #[test]
+    fn a_command_committed_twice_is_skipped_the_same_way_on_every_path() {
+        let committed: Vec<Batch<u64>> = [
+            vec![1, 2, 2, 3],
+            vec![4, 5],
+            vec![3, 6],
+            vec![5, 7],
+            vec![8],
+        ]
+        .into_iter()
+        .map(Batch::new)
+        .collect();
+        let per_command = [
+            (1, 0),
+            (2, 0),
+            (3, 0),
+            (4, 1),
+            (5, 1),
+            (6, 2),
+            (7, 3),
+            (8, 4),
+        ];
+        let mut straight = solo_replica(4);
+        for b in &committed {
+            straight.replay_committed(b.clone());
+        }
+        assert_eq!(log_range(&straight, 0, u64::MAX), per_command);
+        for s in straight.applied_from(0) {
+            let shared = std::ptr::eq(
+                s.batch.commands().as_ptr(),
+                committed[s.slot as usize].commands().as_ptr(),
+            );
+            assert_eq!(shared, [1, 4].contains(&s.slot), "slot {}", s.slot);
+        }
+
+        let mut folder = Folder::<LogApp<u64>>::default();
+        folder.absorb(straight.applied_from(0), 2);
+        let fs = folder.fold(straight.dedup_horizon());
+        assert_eq!(fs.dedup, per_command[..5]);
+        assert_eq!(fs.applied_len, 5);
+
+        let mut compacted = solo_replica(4);
+        for (slot, b) in committed.iter().enumerate() {
+            compacted.replay_committed(b.clone());
+            if slot == 2 {
+                compacted.compact_below(2);
+            }
+        }
+        assert_eq!(compacted.applied_base(), 5);
+        assert_eq!(compacted.applied_from(0), straight.applied_from(5));
+
+        let mut installed = solo_replica(4);
+        assert!(installed.install_folded(&fs.dedup, fs.applied_len, 2));
+        for b in &committed[2..] {
+            installed.replay_committed(b.clone());
+        }
+        assert_eq!(installed.applied_from(0), straight.applied_from(5));
     }
 
     /// Satellite regression: a laggard request is answered from the

@@ -22,9 +22,10 @@
 //!   command is bounced with the observed queue depth instead of being
 //!   enqueued) once the pending queue exceeds its limit, and
 //!   **redirecting** every submission when the server is configured as a
-//!   non-accepting follower — and ships each round's newly applied log
-//!   suffix to the delivery stage. It never touches a socket and never
-//!   fsyncs: consensus rounds are not gated on either;
+//!   non-accepting follower — and ships each round's newly applied slots
+//!   to the delivery stage as handles on the replica's batches, without
+//!   copying a command. It never touches a socket and never fsyncs:
+//!   consensus rounds are not gated on either;
 //! * the **delivery** stage walks shipped deltas through the live
 //!   [`Applier`] — producing each command's [`App::Reply`] the moment it
 //!   flattens — and owns all client-visible bookkeeping (inflight map,
@@ -46,7 +47,9 @@
 //! stall application and every other client's acks with it), and retried
 //! submissions of already-committed commands are re-acked from the
 //! gateway's commit index (the replica's dedup would otherwise swallow
-//! them silently). After a state-transfer jump the index is seeded from
+//! them silently). The index keeps a command as long as the replica's
+//! dedup does — for its dedup horizon, in slots — since a later retry is
+//! applied anew. After a state-transfer jump the index is seeded from
 //! the transferred fold's dedup pairs, so a retry of a command committed
 //! *below* the jump is still answered (with its slot; the reply itself
 //! was never computed locally and is reported as absent).
@@ -65,7 +68,7 @@ use gencon_metrics::{Counter, Gauge, Histogram, Registry};
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
 use gencon_smr::BatchingReplica;
 use gencon_trace::{EventKind, FlightRecorder, HashCell, Stage, Tracer};
-use gencon_types::ProcessId;
+use gencon_types::{AppliedSlot, ProcessId};
 
 use crate::node::{NodeHook, Waker};
 use crate::protocol::{read_frame, write_frame, ClientRequest, ClientResponse};
@@ -87,6 +90,10 @@ const ACK_POLL: std::time::Duration = std::time::Duration::from_micros(500);
 /// a flood of retries for never-committed commands can't grow memory).
 const PARKED_RETRIES_CAP: usize = 1024;
 
+/// Applied-but-unacked replies parked behind the durable watermark. Only
+/// a gate that stops advancing (a failing disk) reaches it.
+const PENDING_ACKS_CAP: usize = 1 << 20;
+
 /// Gateway tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct GatewayConfig {
@@ -99,12 +106,6 @@ pub struct GatewayConfig {
     /// Ack writes block at most this long; a client that stops reading
     /// is disconnected rather than allowed to stall the delivery stage.
     pub write_timeout: std::time::Duration,
-    /// Commands kept in the re-ack index (retries of already-committed
-    /// submissions are answered from it). Oldest entries are evicted
-    /// past the cap, bounding gateway memory on a long-running node — a
-    /// retry arriving later than this many commits is treated as new,
-    /// the same window semantics as the replica's dedup horizon.
-    pub reack_index_cap: usize,
 }
 
 impl Default for GatewayConfig {
@@ -113,7 +114,6 @@ impl Default for GatewayConfig {
             backpressure_limit: 65_536,
             redirect_to: None,
             write_timeout: std::time::Duration::from_millis(500),
-            reack_index_cap: 1 << 20,
         }
     }
 }
@@ -135,9 +135,13 @@ enum StageMsg<A: App> {
     /// dedup window — replies were computed on another node and are
     /// unavailable; retries are answered with `reply: None`.
     KnownCommitted(Vec<(A::Cmd, u64)>),
-    /// Newly flattened `(cmd, slot, offset)` log entries, in offset
-    /// order: apply each, then ack it once durable.
-    Delta(Vec<(A::Cmd, u64, u64)>),
+    /// Newly applied slots, in slot order, sharing the replica's batches:
+    /// apply each command at an offset at or above `from`, then ack it
+    /// once durable.
+    Delta {
+        from: u64,
+        slots: Vec<AppliedSlot<A::Cmd>>,
+    },
     /// A state transfer replaced the log; restore the live app from the
     /// transferred fold.
     Restore(Box<FoldedState<A::Cmd>>),
@@ -382,8 +386,9 @@ impl<A: App> ClientGateway<A> {
         }
     }
 
-    /// Spawns the delivery stage thread on first use.
-    fn ensure_stage(&mut self) {
+    /// Spawns the delivery stage thread on first use; `horizon` is the
+    /// replica's dedup horizon, which bounds the re-ack index.
+    fn ensure_stage(&mut self, horizon: u64) {
         if self.stage.is_some() {
             return;
         }
@@ -391,23 +396,29 @@ impl<A: App> ClientGateway<A> {
         // already covers the recovered prefix (fold + replayed tail).
         self.applied_seen = self.applier.lock().cursor();
         let (tx, rx) = channel::bounded(STAGE_QUEUE_CAP);
-        let stage = Delivery::<A> {
+        let stage = self.delivery(horizon);
+        let handle = std::thread::spawn(move || stage.run(&rx));
+        self.stage = Some((tx, handle));
+    }
+
+    /// The delivery stage's initial state.
+    fn delivery(&self, horizon: u64) -> Delivery<A> {
+        Delivery {
             applier: Arc::clone(&self.applier),
             hash: self.hash_cell.clone(),
             conns: Arc::clone(&self.conns),
-            cfg: self.cfg,
             gate: self.ack_gate.clone(),
             inflight: HashMap::new(),
             pending: VecDeque::new(),
             index: HashMap::new(),
-            index_order: VecDeque::new(),
+            horizon,
+            newest_slot: 0,
+            purged_at: 0,
             parked: HashMap::new(),
             inflight_count: Arc::clone(&self.inflight_count),
             m: self.meters.clone(),
             t: self.tracer.clone(),
-        };
-        let handle = std::thread::spawn(move || stage.run(&rx));
-        self.stage = Some((tx, handle));
+        }
     }
 
     /// Messages waiting in the delivery stage's channel.
@@ -470,7 +481,6 @@ struct Delivery<A: App> {
     applier: Arc<Mutex<Applier<A>>>,
     hash: Option<(HashCell, u64)>,
     conns: Conns,
-    cfg: GatewayConfig,
     gate: Option<Arc<AtomicU64>>,
     /// Locally submitted, not yet acked: command → connection.
     inflight: HashMap<A::Cmd, u64>,
@@ -482,11 +492,17 @@ struct Delivery<A: App> {
     /// Commit coordinates and replies of recently acked commands, for
     /// re-acking client retries of already-committed submissions. The
     /// reply is `None` for commands learned via state transfer (their
-    /// replies were computed on another node). Bounded by
-    /// [`GatewayConfig::reack_index_cap`]; `index_order` is the eviction
-    /// FIFO.
+    /// replies were computed on another node). An entry answers while its
+    /// slot is within `horizon` slots of `newest_slot`: past that, the
+    /// replica's dedup has forgotten the command and applies a retry
+    /// anew. [`Delivery::purge`] drops expired entries.
     index: ReackIndex<A>,
-    index_order: VecDeque<A::Cmd>,
+    /// The replica's dedup horizon, in slots.
+    horizon: u64,
+    /// The highest slot seen applied or known committed.
+    newest_slot: u64,
+    /// `newest_slot` at the last purge.
+    purged_at: u64,
     /// Retries of commands neither committed nor locally inflight —
     /// typically committed below a state-transfer jump — parked until a
     /// `KnownCommitted` or released entry surfaces them.
@@ -506,7 +522,7 @@ impl<A: App> Delivery<A> {
             };
             match msg {
                 Ok(msg) => {
-                    if matches!(msg, StageMsg::Delta(_)) {
+                    if matches!(msg, StageMsg::Delta { .. }) {
                         self.m.apply_depth.record(rx.len() as u64);
                         self.m.apply_depth_now.set(rx.len() as u64);
                     }
@@ -564,14 +580,20 @@ impl<A: App> Delivery<A> {
                 }
             }
             StageMsg::KnownCommitted(pairs) => {
+                if let Some(&(_, slot)) = pairs.last() {
+                    self.newest_slot = self.newest_slot.max(slot);
+                    self.purge();
+                }
                 for (cmd, slot) in pairs {
                     // The transferred fold knows the commit slot but not
                     // the reply — don't clobber a richer local entry.
-                    if !self.index.contains_key(&cmd) {
-                        self.index_committed(cmd.clone(), slot, 0, None);
+                    if self.indexed(&cmd).is_none() {
+                        self.index.insert(cmd.clone(), (slot, 0, None));
                     }
                     if let Some(waiters) = self.parked.remove(&cmd) {
-                        let (slot, offset, reply) = self.index[&cmd].clone();
+                        let Some((slot, offset, reply)) = self.indexed(&cmd) else {
+                            continue;
+                        };
                         for conn in waiters {
                             self.respond(
                                 conn,
@@ -587,28 +609,33 @@ impl<A: App> Delivery<A> {
                     }
                 }
             }
-            StageMsg::Delta(entries) => {
+            StageMsg::Delta { from, slots } => {
                 let applier = Arc::clone(&self.applier);
                 let mut applier = applier.lock();
-                let mut last_traced_slot = u64::MAX;
-                for (cmd, slot, offset) in entries {
-                    let svc_start = self.t.now_us();
-                    let reply = applier.apply(slot, &cmd);
-                    publish_hash(self.hash.as_ref(), &*applier);
-                    self.m.applied.inc();
-                    // One `applied` event per slot (the first command's
-                    // service time stands in for the slot).
-                    let now_us = self.t.now_us();
-                    if self.t.enabled() && slot != last_traced_slot {
-                        last_traced_slot = slot;
-                        self.t.rec(
-                            Stage::Apply,
-                            EventKind::Applied,
-                            slot,
-                            now_us.saturating_sub(svc_start),
-                        );
+                if let Some(last) = slots.last() {
+                    self.newest_slot = self.newest_slot.max(last.slot);
+                    self.purge();
+                }
+                for s in &slots {
+                    for (i, (offset, cmd)) in s.commands_from(from).enumerate() {
+                        let svc_start = self.t.now_us();
+                        let reply = applier.apply(s.slot, cmd);
+                        publish_hash(self.hash.as_ref(), &*applier);
+                        self.m.applied.inc();
+                        // One `applied` event per slot (the first command's
+                        // service time stands in for the slot).
+                        let now_us = self.t.now_us();
+                        if i == 0 {
+                            self.t.rec(
+                                Stage::Apply,
+                                EventKind::Applied,
+                                s.slot,
+                                now_us.saturating_sub(svc_start),
+                            );
+                        }
+                        self.pending
+                            .push_back((cmd.clone(), s.slot, offset, reply, now_us));
                     }
-                    self.pending.push_back((cmd, slot, offset, reply, now_us));
                 }
             }
             StageMsg::Restore(fs) => {
@@ -652,7 +679,6 @@ impl<A: App> Delivery<A> {
                 slot,
                 self.t.now_us().saturating_sub(enq_us),
             );
-            self.index_committed(cmd.clone(), slot, offset, Some(reply.clone()));
             if let Some(conn) = self.inflight.remove(&cmd) {
                 self.inflight_count.fetch_sub(1, Ordering::Relaxed);
                 self.respond(
@@ -680,26 +706,27 @@ impl<A: App> Delivery<A> {
                     self.m.reacks.inc();
                 }
             }
+            self.index.insert(cmd, (slot, offset, Some(reply)));
         }
         // Bound the parked acks: under a healthy gate the queue drains
         // every group-commit window, but a gate that stops advancing
         // (failing disk) must not grow memory with throughput forever.
         // The *newest* entries are dropped — the oldest are the next to
         // become durable. A dropped command is still committed, and its
-        // coordinates go straight into the (equally bounded) re-ack index
-        // so a client retry after the gate recovers gets answered instead
-        // of being swallowed by the replica's dedup.
-        while self.pending.len() > self.cfg.reack_index_cap {
+        // coordinates go straight into the re-ack index so a client retry
+        // after the gate recovers gets answered instead of being swallowed
+        // by the replica's dedup.
+        while self.pending.len() > PENDING_ACKS_CAP {
             let (cmd, slot, offset, reply, _) = self.pending.pop_back().expect("over cap");
             self.m.dropped.inc();
-            self.index_committed(cmd, slot, offset, Some(reply));
+            self.index.insert(cmd, (slot, offset, Some(reply)));
         }
     }
 
     /// Answers `conn` from the commit index; `false` if the command
     /// isn't indexed.
     fn reack(&mut self, cmd: &A::Cmd, conn: u64) -> bool {
-        let Some((slot, offset, reply)) = self.index.get(cmd).cloned() else {
+        let Some((slot, offset, reply)) = self.indexed(cmd) else {
             return false;
         };
         self.respond(
@@ -715,20 +742,23 @@ impl<A: App> Delivery<A> {
         true
     }
 
-    /// Records a committed command's coordinates + reply for re-acking
-    /// retries, evicting the oldest entries past the cap.
-    fn index_committed(&mut self, cmd: A::Cmd, slot: u64, offset: u64, reply: Option<A::Reply>) {
-        if self
-            .index
-            .insert(cmd.clone(), (slot, offset, reply))
-            .is_none()
-        {
-            self.index_order.push_back(cmd);
-        }
-        while self.index_order.len() > self.cfg.reack_index_cap {
-            if let Some(old) = self.index_order.pop_front() {
-                self.index.remove(&old);
-            }
+    /// The index entry of `cmd`, if it is still within the dedup horizon.
+    fn indexed(&self, cmd: &A::Cmd) -> Option<(u64, u64, Option<A::Reply>)> {
+        self.index
+            .get(cmd)
+            .filter(|e| e.0 + self.horizon >= self.newest_slot)
+            .cloned()
+    }
+
+    /// Drops the index entries past the dedup horizon, each time the
+    /// newest slot has moved an eighth of a horizon on: one scan of the
+    /// index costs less than hashing every command again to evict it one
+    /// by one, and keeps the index within 9/8 of a horizon.
+    fn purge(&mut self) {
+        if self.newest_slot >= self.purged_at + self.horizon.div_ceil(8) {
+            let (horizon, newest) = (self.horizon, self.newest_slot);
+            self.index.retain(|_, e| e.0 + horizon >= newest);
+            self.purged_at = newest;
         }
     }
 
@@ -760,7 +790,7 @@ fn publish_hash<A: App>(hash: Option<&(HashCell, u64)>, applier: &Applier<A>) {
 
 impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
     fn before_round(&mut self, _round: u64, replica: &mut BatchingReplica<A::Cmd>) {
-        self.ensure_stage();
+        self.ensure_stage(replica.dedup_horizon());
         {
             let mut current = self.waker.lock();
             if let Some(w) = crate::node::published_waker(current.as_ref()) {
@@ -804,36 +834,19 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
     }
 
     fn after_round(&mut self, _round: u64, replica: &mut BatchingReplica<A::Cmd>) {
-        self.ensure_stage();
-        let base = replica.applied_base() as u64;
-        let limit = replica.applied_len() as u64;
-        if self.applied_seen < base {
-            // Compaction can't outrun the local applier in practice;
-            // clamp defensively so indexing below never underflows.
-            self.applied_seen = base;
-        }
-        if self.applied_seen < limit {
-            let applied = replica.applied();
-            let slots = replica.applied_slots();
-            let delta: Vec<(A::Cmd, u64, u64)> = (self.applied_seen..limit)
-                .map(|offset| {
-                    let i = (offset - base) as usize;
-                    (applied[i].clone(), slots[i], offset)
-                })
-                .collect();
-            self.applied_seen = limit;
+        self.ensure_stage(replica.dedup_horizon());
+        let slots = replica.applied_from(self.applied_seen).to_vec();
+        if !slots.is_empty() {
             if self.tracer.enabled() {
                 let depth = self.queue_depth();
-                let mut last = u64::MAX;
-                for &(_, slot, _) in &delta {
-                    if slot != last {
-                        last = slot;
-                        self.tracer
-                            .rec(Stage::Apply, EventKind::ApplyQueued, slot, depth);
-                    }
+                for s in &slots {
+                    self.tracer
+                        .rec(Stage::Apply, EventKind::ApplyQueued, s.slot, depth);
                 }
             }
-            self.ship(StageMsg::Delta(delta));
+            let from = self.applied_seen;
+            self.applied_seen = replica.applied_len() as u64;
+            self.ship(StageMsg::Delta { from, slots });
         }
         if self.stage.is_some() {
             let depth = self.queue_depth();
@@ -847,9 +860,9 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
         _manifest: &SnapshotManifest,
         _state: &[u8],
         fs: &FoldedState<A::Cmd>,
-        _replica: &mut BatchingReplica<A::Cmd>,
+        replica: &mut BatchingReplica<A::Cmd>,
     ) {
-        self.ensure_stage();
+        self.ensure_stage(replica.dedup_horizon());
         // A state transfer replaced the replica's log wholesale; restore
         // the live app from the transferred fold and fast-forward the
         // shipping cursor past the jump. Pending acks for offsets below
@@ -873,6 +886,15 @@ mod tests {
     use gencon_algos::paxos;
     use gencon_app::{KvApp, KvCmd, KvOp, KvReply, LogApp};
     use gencon_smr::Batch;
+
+    /// The replica's retained applied commands, in log order.
+    fn log(replica: &BatchingReplica<u64>) -> Vec<u64> {
+        replica
+            .applied_from(0)
+            .iter()
+            .flat_map(|s| s.batch.iter().copied())
+            .collect()
+    }
 
     fn test_replica(cap: usize) -> BatchingReplica<u64> {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
@@ -973,11 +995,11 @@ mod tests {
             }
             replica.receive(r, &heard);
             gw.after_round(round, &mut replica);
-            if !replica.applied().is_empty() {
+            if replica.applied_len() > 0 {
                 break;
             }
         }
-        assert_eq!(replica.applied(), &[77], "single-replica log commits");
+        assert_eq!(log(&replica), [77], "single-replica log commits");
         let first: ClientResponse<u64> = read_frame(&mut conn).unwrap();
         let ClientResponse::Committed {
             cmd, slot, offset, ..
@@ -1011,9 +1033,47 @@ mod tests {
                 reply: Some(0),
             }
         );
-        assert_eq!(replica.applied(), &[77], "no duplicate apply");
+        assert_eq!(log(&replica), [77], "no duplicate apply");
         gw.drain();
         assert_eq!(gw.applier().cursor(), 1, "the live app applied it once");
+    }
+
+    /// The re-ack index answers for a command exactly as long as the
+    /// replica's dedup keeps it: with one command per slot, a retry inside
+    /// the horizon is re-acked and one past it finds nothing (the replica
+    /// applies it anew). Expired entries are purged every eighth of a
+    /// horizon, so none outlives the horizon by more.
+    #[test]
+    fn reack_index_is_bounded_by_the_dedup_horizon() {
+        let gw = ClientGateway::<LogApp<u64>>::listen(
+            "127.0.0.1:0".parse().unwrap(),
+            GatewayConfig::default(),
+        )
+        .unwrap();
+        for horizon in [4u64, 16] {
+            let mut stage = gw.delivery(horizon);
+            for slot in 0..100u64 {
+                stage.handle(StageMsg::Delta {
+                    from: slot,
+                    slots: vec![AppliedSlot {
+                        slot,
+                        offset: slot,
+                        batch: Batch::new(vec![slot * 10]),
+                    }],
+                });
+                stage.release();
+                assert!(
+                    stage
+                        .index
+                        .values()
+                        .all(|e| e.0 + horizon + horizon.div_ceil(8) > slot),
+                    "an entry outlived the horizon at slot {slot} (horizon {horizon})"
+                );
+            }
+            let oldest_live = 99 - horizon;
+            assert!(stage.reack(&(oldest_live * 10), 0), "inside the horizon");
+            assert!(!stage.reack(&((oldest_live - 1) * 10), 0), "past it");
+        }
     }
 
     #[test]
@@ -1118,14 +1178,17 @@ mod tests {
             "127.0.0.1:0".parse().unwrap(),
             GatewayConfig {
                 write_timeout: std::time::Duration::from_millis(50),
-                reack_index_cap: 8,
                 ..GatewayConfig::default()
             },
         )
         .unwrap();
         let spec = paxos::<Batch<KvCmd>>(1, 0, ProcessId::new(0)).unwrap();
+        // A short dedup horizon keeps the re-ack index, which holds the
+        // 256 KiB replies, to a few slots.
         let mut replica =
-            BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 16, usize::MAX).unwrap();
+            BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 16, usize::MAX)
+                .unwrap()
+                .with_dedup_horizon(2);
         let mut round = 0u64;
         // Runs rounds until `n` commands have committed in total.
         let mut commit_until =

@@ -1044,7 +1044,7 @@ where
             let mut buf = Bytes::from(state.clone());
             let decoded = FoldedState::<V>::decode(&mut buf).ok();
             let installed = decoded.as_ref().is_some_and(|fs| {
-                replica.install_folded(&fs.dedup, fs.applied_len, manifest.upto_slot, r)
+                replica.install_folded(&fs.dedup, fs.applied_len, manifest.upto_slot)
             });
             if installed {
                 stats.snapshots_installed += 1;
@@ -1182,6 +1182,14 @@ mod tests {
     use gencon_net::ChannelTransport;
     use std::time::Duration;
 
+    /// The replica's retained applied commands, in log order.
+    fn log_of(rep: &BatchingReplica<u64>) -> Vec<u64> {
+        rep.applied_from(0)
+            .iter()
+            .flat_map(|s| s.batch.iter().copied())
+            .collect()
+    }
+
     fn small_cfg(max_rounds: u64) -> ServerConfig {
         ServerConfig {
             initial_round_timeout: Duration::from_millis(30),
@@ -1245,7 +1253,7 @@ mod tests {
         }
 
         fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
-            if !self.marked_done && replica.applied().len() >= self.target {
+            if !self.marked_done && replica.applied_len() >= self.target {
                 self.marked_done = true;
                 self.done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             }
@@ -1297,10 +1305,10 @@ mod tests {
             })
             .collect();
         let out = spawn_cluster(3, replicas, small_cfg(4_000), 24, 48);
-        let reference: Vec<u64> = out[0].0.applied().to_vec();
+        let reference: Vec<u64> = log_of(&out[0].0);
         assert!(reference.len() >= 48, "committed {}", reference.len());
         for (rep, stats) in &out {
-            let log = rep.applied();
+            let log = log_of(rep);
             let common = log.len().min(reference.len());
             assert_eq!(&log[..common], &reference[..common], "prefix agreement");
             assert!(stats.rounds > 0);
@@ -1318,10 +1326,10 @@ mod tests {
             })
             .collect();
         let out = spawn_cluster(4, replicas, small_cfg(4_000), 16, 32);
-        let reference: Vec<u64> = out[0].0.applied().to_vec();
+        let reference: Vec<u64> = log_of(&out[0].0);
         assert!(reference.len() >= 32);
         for (rep, _) in &out {
-            let log = rep.applied();
+            let log = log_of(rep);
             let common = log.len().min(reference.len());
             assert_eq!(&log[..common], &reference[..common]);
         }
@@ -1377,9 +1385,9 @@ mod tests {
         let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for (rep, _t, stats, _hook) in &out {
             assert!(
-                rep.applied().len() >= 720,
+                rep.applied_len() >= 720,
                 "3 live of 4 (= n − b) keep committing, got {}",
-                rep.applied().len()
+                rep.applied_len()
             );
             // Once the grace window wrote node 3 off, rounds complete at
             // the live count: most rounds are full, not timeouts.
@@ -1679,7 +1687,7 @@ mod tests {
             .collect();
         let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(Instant::now() < give_up, "the run gave up");
-        let reference = out[0].0.applied();
+        let reference = log_of(&out[0].0);
         for (rep, stats, hook) in &out {
             assert_eq!(
                 stats.rounds, hook.rounds,
@@ -1694,7 +1702,7 @@ mod tests {
                 "before_round ran {polls} times over 300 ms of idle time (bound {bound})"
             );
             assert_eq!(rep.applied_len(), 4 * 8 + 1, "the late command commits");
-            assert_eq!(rep.applied(), reference);
+            assert_eq!(log_of(rep), reference);
         }
     }
 

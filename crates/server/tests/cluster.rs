@@ -50,7 +50,7 @@ impl NodeHook<u64> for GatewayUntilClientsDone {
 
     fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
         if self.clients_done.load(Ordering::SeqCst) >= self.clients
-            && replica.applied().len() >= self.target
+            && replica.applied_len() >= self.target
         {
             if self.grace_left == 0 {
                 return true;
@@ -59,6 +59,14 @@ impl NodeHook<u64> for GatewayUntilClientsDone {
         }
         false
     }
+}
+
+/// The replica's retained applied commands, in log order.
+fn log_of(rep: &BatchingReplica<u64>) -> Vec<u64> {
+    rep.applied_from(0)
+        .iter()
+        .flat_map(|s| s.batch.iter().copied())
+        .collect()
 }
 
 /// A closed-loop TCP client: `clients` logical clients × `outstanding`
@@ -165,14 +173,14 @@ fn tcp_pbft_cluster_serves_1000_client_commands() {
 
     let logs: Vec<(BatchingReplica<u64>, gencon_server::NodeStats)> =
         servers.into_iter().map(|h| h.join().unwrap()).collect();
-    let reference = logs[0].0.applied();
+    let reference = log_of(&logs[0].0);
     assert!(
         reference.len() >= TARGET,
         "node 0 applied only {} of {TARGET}",
         reference.len()
     );
     for (i, (rep, _stats)) in logs.iter().enumerate() {
-        let log = rep.applied();
+        let log = log_of(rep);
         assert!(log.len() >= TARGET, "node {i} applied only {}", log.len());
         let common = log.len().min(reference.len());
         assert_eq!(
@@ -309,7 +317,7 @@ impl NodeHook<u64> for FeedAndMaybeDie {
             // "SIGKILL": stop regardless of progress; state is dropped.
             return replica.committed_slots() as u64 >= die;
         }
-        if !self.marked && replica.applied().len() >= self.target {
+        if !self.marked && replica.applied_len() >= self.target {
             self.marked = true;
             self.done.fetch_add(1, Ordering::SeqCst);
         }
@@ -358,7 +366,7 @@ fn restarted_node_catches_up_via_decision_claims() {
                 };
                 let (dead, transport, _stats, _hook) =
                     run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
-                let committed_before_death = dead.applied().len();
+                let committed_before_death = dead.applied_len();
                 drop(dead); // all replica state is lost
                             // The cluster runs on while this node is down — long
                             // enough that the survivors advance hundreds of rounds,
@@ -407,14 +415,14 @@ fn restarted_node_catches_up_via_decision_claims() {
 
     let results: Vec<(BatchingReplica<u64>, usize)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let survivor_log = results[0].0.applied();
+    let survivor_log = log_of(&results[0].0);
     assert!(
         survivor_log.len() >= TARGET,
         "survivors committed {} of {TARGET}",
         survivor_log.len()
     );
     let (restarted, before_death) = (&results[3].0, results[3].1);
-    let relog = restarted.applied();
+    let relog = log_of(restarted);
     assert!(
         relog.len() >= TARGET,
         "restarted node caught up only to {} of {TARGET}",

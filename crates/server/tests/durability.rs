@@ -116,13 +116,12 @@ impl NodeHook<u64> for Driver {
         }
         // Runs as the inner hook, i.e. before the durable layer compacts,
         // so the applier always sees the suffix from its cursor on.
-        self.applier.track(
-            replica.applied(),
-            replica.applied_slots(),
-            replica.applied_base() as u64,
-            replica.applied_len() as u64,
-            |_, _, _, _| {},
-        );
+        let from = self.applier.cursor();
+        for s in replica.applied_from(from) {
+            for (_, cmd) in s.commands_from(from) {
+                self.applier.apply(s.slot, cmd);
+            }
+        }
     }
 
     fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
@@ -351,18 +350,27 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
     // Where retained suffixes still overlap, contents must match too.
     let reference = &results[3].0;
     for (i, (rep, _, _, _, _)) in results[..3].iter().enumerate() {
-        let lo = reference.applied_base().max(rep.applied_base());
-        let hi = reference.applied_len().min(rep.applied_len());
-        for abs in lo..hi {
-            assert_eq!(
-                reference.applied()[abs - reference.applied_base()],
-                rep.applied()[abs - rep.applied_base()],
-                "node {i} diverges at absolute offset {abs}"
-            );
-        }
+        let lo = reference.applied_base().max(rep.applied_base()) as u64;
+        let hi = reference.applied_len().min(rep.applied_len()) as u64;
+        assert_eq!(
+            log_range(reference, lo, hi),
+            log_range(rep, lo, hi),
+            "node {i} diverges in absolute offsets {lo}..{hi}"
+        );
     }
 
     std::fs::remove_dir_all(&data_dir).ok();
+}
+
+/// `(offset, command)` for the replica's applied commands at absolute
+/// offsets `lo..hi`.
+fn log_range(rep: &BatchingReplica<u64>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    rep.applied_from(lo)
+        .iter()
+        .flat_map(|s| s.commands_from(lo))
+        .take_while(|(offset, _)| *offset < hi)
+        .map(|(offset, cmd)| (offset, *cmd))
+        .collect()
 }
 
 /// What node 3 saw when it restarted into an idle cluster.

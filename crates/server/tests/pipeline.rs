@@ -29,7 +29,7 @@ use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
 use gencon_server::{
     read_frame, write_frame, ClientGateway, ClientRequest, ClientResponse, GatewayConfig, NodeHook,
 };
-use gencon_smr::{Batch, BatchingReplica};
+use gencon_smr::{AppliedSlot, Batch, BatchingReplica};
 use gencon_types::{ProcessId, Round};
 
 /// One hand-driven consensus round of a single-replica (Paxos n = 1)
@@ -110,10 +110,11 @@ proptest! {
         // The single-threaded reference: replay the applied log.
         let mut reference = Applier::<KvApp>::new(KvApp::default());
         let mut expected: HashMap<u64, (u64, KvReply)> = HashMap::new();
-        let (applied, slots) = (replica.applied().to_vec(), replica.applied_slots().to_vec());
-        for (offset, (cmd, slot)) in applied.iter().zip(slots.iter()).enumerate() {
-            let reply = reference.apply(*slot, cmd);
-            expected.insert(cmd.id, (offset as u64, reply));
+        for s in replica.applied_from(0) {
+            for (offset, cmd) in s.commands_from(0) {
+                let reply = reference.apply(s.slot, cmd);
+                expected.insert(cmd.id, (offset, reply));
+            }
         }
         prop_assert_eq!(gw.applier().cursor(), cmds.len() as u64);
         // The pipelined apply must not diverge from the sequential
@@ -205,10 +206,17 @@ fn retry_across_state_transfer_jump_is_reacked() {
     // The cluster's history this node never saw: commands 100, 200, 300
     // at slots 0..3, arriving as a folded snapshot (state transfer).
     let mut folder = Folder::<LogApp<u64>>::default();
-    folder.absorb(&[100, 200, 300], &[0, 1, 2], 0, 3);
+    let history: Vec<AppliedSlot<u64>> = (0..3u64)
+        .map(|slot| AppliedSlot {
+            slot,
+            offset: slot,
+            batch: Batch::new(vec![100 * (slot + 1)]),
+        })
+        .collect();
+    folder.absorb(&history, 3);
     let fs = folder.fold(8_192);
     assert_eq!(fs.applied_len, 3);
-    assert!(replica.install_folded(&fs.dedup, fs.applied_len, 3, 1));
+    assert!(replica.install_folded(&fs.dedup, fs.applied_len, 3));
     let manifest = SnapshotManifest::describe(3, fs.applied_len, &fs.app);
     gw.snapshot_installed(&manifest, &fs.app, &fs, &mut replica);
 

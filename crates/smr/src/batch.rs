@@ -11,9 +11,11 @@
 //! then unanimous, which lets every slot skip phase 1's selection round
 //! (§3.1): relay, validation and decision make three rounds per command.
 //! Committed batches are flattened, in slot order, into the applied
-//! command log. Agreement over the flattened log follows from per-slot
-//! Agreement: every honest replica commits the same batch in every slot,
-//! and flattening is deterministic.
+//! command log, which holds each slot's batch by reference: the committed
+//! batch itself, or a filtered copy when the slot re-committed a command
+//! applied earlier. Agreement over the flattened log follows from
+//! per-slot Agreement: every honest replica commits the same batch in
+//! every slot, and flattening is deterministic.
 //!
 //! A proposal that diverges — a relay was lost, or a Byzantine relayer
 //! told peers different things — only costs the slot its phase-1
@@ -23,7 +25,7 @@
 
 use gencon_core::{Params, ParamsError};
 use gencon_rounds::{HeardOf, Outgoing, Predicate, RoundProcess};
-use gencon_types::{Batch, ProcessId, Round, Value};
+use gencon_types::{group_by_slot, AppliedSlot, Batch, ProcessId, Round, Value};
 
 use crate::{Replica, SmrMsg};
 
@@ -70,20 +72,16 @@ pub struct BatchingReplica<V: Value> {
     /// Commands in `queue` or in one of the `proposed` batches: a relay
     /// heard again while the command is held queues nothing.
     held: std::collections::HashSet<V>,
-    /// The retained flattened applied log (absolute offsets
-    /// `[applied_base, applied_base + applied.len())`; the prefix below
-    /// `applied_base` was compacted away after a snapshot).
-    applied: Vec<V>,
+    /// The retained applied log: one entry per flattened slot that
+    /// applied a command, in slot order, each holding its commands as a
+    /// shared [`Batch`] handle (the committed batch itself unless a
+    /// command in it was already applied). Absolute offsets start at
+    /// `applied_base`; the prefix below was compacted away after a
+    /// snapshot.
+    applied: Vec<AppliedSlot<V>>,
     /// Applied commands discarded by [`BatchingReplica::compact_below`]
-    /// (0 until the first compaction).
+    /// or covered by an installed snapshot (0 until the first of either).
     applied_base: usize,
-    /// Global round at which each applied command committed (parallel to
-    /// `applied`) — the harness's latency source.
-    applied_rounds: Vec<u64>,
-    /// Consensus slot each applied command committed in (parallel to
-    /// `applied`) — the client-ack source: a server answers a submission
-    /// with the `(slot, offset)` coordinates of the committed command.
-    applied_slots: Vec<u64>,
     /// Committed slots already flattened into `applied` (an absolute slot
     /// count, unaffected by compaction).
     flattened: usize,
@@ -101,10 +99,11 @@ pub struct BatchingReplica<V: Value> {
     /// applied in, evicted by the flatten loop itself — never by local
     /// compaction, which runs at replica-specific times.
     applied_set: std::collections::HashSet<V>,
-    /// Eviction queue for `applied_set`: `(slot, command)` in
-    /// apply order. Bounds dedup memory to the horizon's worth of
-    /// commands however long the replica runs.
-    dedup_window: std::collections::VecDeque<(crate::Slot, V)>,
+    /// Eviction queue for `applied_set`: `(slot, applied commands)` in
+    /// apply order, sharing the applied log's batch handles. Bounds dedup
+    /// memory to the horizon's worth of commands however long the replica
+    /// runs.
+    dedup_window: std::collections::VecDeque<(crate::Slot, Batch<V>)>,
     /// Slots a command stays deduplicated after applying. Must be the
     /// same on every replica of a cluster (it shapes the shared log);
     /// client retries arriving later than this many slots after the
@@ -160,8 +159,6 @@ impl<V: Value> BatchingReplica<V> {
             held: std::collections::HashSet::new(),
             applied: Vec::new(),
             applied_base: 0,
-            applied_rounds: Vec::new(),
-            applied_slots: Vec::new(),
             flattened: 0,
             commit_target,
             proposed: std::collections::BTreeMap::new(),
@@ -217,13 +214,14 @@ impl<V: Value> BatchingReplica<V> {
         }
     }
 
-    /// The retained flattened applied command log, in commit order (the
-    /// full log until the first [`BatchingReplica::compact_below`]; the
-    /// suffix from absolute offset [`BatchingReplica::applied_base`]
-    /// afterwards).
+    /// The retained applied slots holding absolute offsets at or above
+    /// `offset`, in slot order: the whole retained log for an offset at or
+    /// below [`BatchingReplica::applied_base`]. The first slot may also
+    /// hold commands below `offset` (see [`AppliedSlot::commands_from`]).
     #[must_use]
-    pub fn applied(&self) -> &[V] {
-        &self.applied
+    pub fn applied_from(&self, offset: u64) -> &[AppliedSlot<V>] {
+        let first = self.applied.partition_point(|s| s.end() <= offset);
+        &self.applied[first..]
     }
 
     /// Applied commands discarded below the compaction point.
@@ -235,20 +233,9 @@ impl<V: Value> BatchingReplica<V> {
     /// Total commands ever applied (compacted prefix included).
     #[must_use]
     pub fn applied_len(&self) -> usize {
-        self.applied_base + self.applied.len()
-    }
-
-    /// The applied log alongside the global round each command committed at.
-    #[must_use]
-    pub fn applied_with_rounds(&self) -> (&[V], &[u64]) {
-        (&self.applied, &self.applied_rounds)
-    }
-
-    /// The consensus slot each applied command committed in (parallel to
-    /// [`BatchingReplica::applied`]).
-    #[must_use]
-    pub fn applied_slots(&self) -> &[u64] {
-        &self.applied_slots
+        self.applied
+            .last()
+            .map_or(self.applied_base, |s| s.end() as usize)
     }
 
     /// Commands still queued: waiting to be relayed, or heard and not yet
@@ -358,10 +345,10 @@ impl<V: Value> BatchingReplica<V> {
             && self.inner.is_settled()
     }
 
-    /// Flattens any newly committed batches into the applied log, stamping
-    /// each command with the round it committed at, and puts our own
-    /// commands whose proposed batch lost the slot back on the relay list.
-    fn flatten(&mut self, r: Round) {
+    /// Flattens any newly committed batches into the applied log and puts
+    /// our own commands whose proposed batch lost the slot back on the
+    /// relay list.
+    fn flatten(&mut self) {
         let before = self.flattened;
         let mut lost: Vec<V> = Vec::new();
         while self.flattened < self.inner.committed_len() {
@@ -374,31 +361,41 @@ impl<V: Value> BatchingReplica<V> {
                 if applied_at + self.dedup_horizon >= slot {
                     break;
                 }
-                let (_, cmd) = self.dedup_window.pop_front().expect("front exists");
-                self.applied_set.remove(&cmd);
-            }
-            let idx = (slot - self.inner.committed_base()) as usize;
-            let batch = &self.inner.committed()[idx];
-            let mut newly: Vec<V> = Vec::new();
-            for cmd in batch.commands() {
-                // With relays, overlapping batches can win different
-                // slots; only the first commit of a command applies
-                // (deterministic: the batch sequence is shared).
-                if self.applied_set.insert(cmd.clone()) {
-                    newly.push(cmd.clone());
+                let (_, gone) = self.dedup_window.pop_front().expect("front exists");
+                for cmd in &gone {
+                    self.applied_set.remove(cmd);
                 }
             }
-            for cmd in newly {
-                self.dedup_window.push_back((slot, cmd.clone()));
-                self.applied.push(cmd.clone());
-                self.applied_rounds.push(r.number());
-                self.applied_slots.push(slot);
+            let idx = (slot - self.inner.committed_base()) as usize;
+            let batch = self.inner.committed()[idx].clone();
+            // With relays, overlapping batches can win different slots;
+            // only the first commit of a command applies (deterministic:
+            // the batch sequence is shared). The slot keeps the committed
+            // batch itself unless one of its commands is skipped.
+            let mut kept: Option<Vec<V>> = None;
+            for (i, cmd) in batch.iter().enumerate() {
+                let new = self.applied_set.insert(cmd.clone());
+                match (&mut kept, new) {
+                    (None, false) => kept = Some(batch.commands()[..i].to_vec()),
+                    (Some(kept), true) => kept.push(cmd.clone()),
+                    _ => {}
+                }
+            }
+            let applied = kept.map_or_else(|| batch.clone(), Batch::new);
+            if !applied.is_empty() {
+                let offset = self.applied_len() as u64;
+                self.dedup_window.push_back((slot, applied.clone()));
+                self.applied.push(AppliedSlot {
+                    slot,
+                    offset,
+                    batch: applied,
+                });
             }
             if let Some(mine) = self.proposed.remove(&slot) {
                 for c in mine.commands() {
                     self.held.remove(c);
                 }
-                if mine != *batch {
+                if mine != batch {
                     lost.extend(
                         mine.into_commands()
                             .into_iter()
@@ -435,8 +432,8 @@ impl<V: Value> BatchingReplica<V> {
     }
 
     /// Prunes in-memory state below `slot` once a snapshot covers that
-    /// prefix: applied-log prefix bookkeeping, retained committed batches
-    /// and stale proposals all go; [`BatchingReplica::applied_base`]
+    /// prefix: the applied slots, retained committed batches and stale
+    /// proposals below it all go; [`BatchingReplica::applied_base`]
     /// advances by the discarded command count. Clamped to the flattened
     /// prefix; compaction never touches the dedup window (that eviction
     /// is slot-deterministic, see the field docs), so agreement is
@@ -447,11 +444,12 @@ impl<V: Value> BatchingReplica<V> {
     /// transfer.
     pub fn compact_below(&mut self, slot: crate::Slot) {
         let slot = slot.min(self.flattened as crate::Slot);
-        let cut = self.applied_slots.partition_point(|&s| s < slot);
+        let cut = self.applied.partition_point(|s| s.slot < slot);
+        self.applied_base = self
+            .applied
+            .get(cut)
+            .map_or_else(|| self.applied_len(), |s| s.offset as usize);
         self.applied.drain(..cut);
-        self.applied_rounds.drain(..cut);
-        self.applied_slots.drain(..cut);
-        self.applied_base += cut;
         self.inner.compact_below(slot);
         self.proposed.retain(|s, _| *s >= slot);
     }
@@ -470,57 +468,7 @@ impl<V: Value> BatchingReplica<V> {
             "replay_committed is a startup-only operation"
         );
         self.inner.restore_committed(batch);
-        self.flatten(Round::new(1));
-    }
-
-    /// Installs a snapshot of the applied prefix: `pairs` are the applied
-    /// `(command, slot)` pairs of **every** slot below `upto_slot`, in
-    /// apply order (the decoded state-transfer payload, or the recovered
-    /// snapshot cut at startup). Returns whether the snapshot was
-    /// installed — it is ignored unless it extends this replica's
-    /// committed prefix.
-    ///
-    /// By per-slot Agreement the local applied log is a prefix of any
-    /// honest snapshot's, so installation replaces the applied state
-    /// wholesale and fast-forwards the slot sequence to `upto_slot`;
-    /// decision claims and normal rounds take over from there. `round`
-    /// stamps re-applied commands (0 at startup).
-    pub fn install_snapshot(
-        &mut self,
-        pairs: Vec<(V, crate::Slot)>,
-        upto_slot: crate::Slot,
-        round: u64,
-    ) -> bool {
-        if (upto_slot as usize) <= self.inner.committed_len() {
-            return false;
-        }
-        self.applied.clear();
-        self.applied_rounds.clear();
-        self.applied_slots.clear();
-        self.applied_base = 0;
-        self.applied_set.clear();
-        self.dedup_window.clear();
-        // The full applied set purges the local queue; the dedup
-        // window/set keep only the horizon suffix, exactly what a replica
-        // that flattened slot by slot would hold when reaching upto_slot.
-        let mut full: std::collections::HashSet<V> = std::collections::HashSet::new();
-        for (cmd, slot) in pairs {
-            full.insert(cmd.clone());
-            if slot + self.dedup_horizon >= upto_slot {
-                self.applied_set.insert(cmd.clone());
-                self.dedup_window.push_back((slot, cmd.clone()));
-            }
-            self.applied.push(cmd);
-            self.applied_rounds.push(round);
-            self.applied_slots.push(slot);
-        }
-        self.settle_below(upto_slot, &full);
-        self.flattened = upto_slot as usize;
-        self.inner.install_decided_prefix(upto_slot);
-        // Anything the inner replica had already decided above the
-        // snapshot recommits contiguously; flatten it in.
-        self.flatten(Round::new(round.max(1)));
-        true
+        self.flatten();
     }
 
     /// The queue side of a snapshot install at `upto_slot`: drops the
@@ -565,21 +513,18 @@ impl<V: Value> BatchingReplica<V> {
         dedup: &[(V, crate::Slot)],
         applied_len: u64,
         upto_slot: crate::Slot,
-        round: u64,
     ) -> bool {
         if (upto_slot as usize) <= self.inner.committed_len() {
             return false;
         }
         self.applied.clear();
-        self.applied_rounds.clear();
-        self.applied_slots.clear();
         self.applied_base = usize::try_from(applied_len).unwrap_or(usize::MAX);
         self.applied_set.clear();
         self.dedup_window.clear();
-        for (cmd, slot) in dedup {
-            if *slot < upto_slot && slot + self.dedup_horizon >= upto_slot {
-                self.applied_set.insert(cmd.clone());
-                self.dedup_window.push_back((*slot, cmd.clone()));
+        for (slot, batch) in group_by_slot(dedup) {
+            if slot < upto_slot && slot + self.dedup_horizon >= upto_slot {
+                self.applied_set.extend(batch.iter().cloned());
+                self.dedup_window.push_back((slot, batch));
             }
         }
         // The carried dedup window purges the local queues of commands
@@ -591,7 +536,7 @@ impl<V: Value> BatchingReplica<V> {
         self.inner.install_decided_prefix(upto_slot);
         // Anything the inner replica had already decided above the
         // snapshot recommits contiguously; flatten it in.
-        self.flatten(Round::new(round.max(1)));
+        self.flatten();
         true
     }
 }
@@ -688,15 +633,21 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
             }
         }
         self.inner.receive(r, heard);
-        self.flatten(r);
+        self.flatten();
     }
 
     fn output(&self) -> Option<Vec<V>> {
         // Truncate to exactly the target: replicas stop at different points
         // mid-batch, but the committed sequence is shared, so the fixed-size
         // prefix is identical on every honest replica.
-        (self.applied.len() >= self.commit_target)
-            .then(|| self.applied[..self.commit_target].to_vec())
+        (self.applied_len() - self.applied_base >= self.commit_target).then(|| {
+            self.applied
+                .iter()
+                .flat_map(|s| s.batch.iter())
+                .take(self.commit_target)
+                .cloned()
+                .collect()
+        })
     }
 }
 
@@ -705,7 +656,7 @@ impl<V: Value> std::fmt::Debug for BatchingReplica<V> {
         f.debug_struct("BatchingReplica")
             .field("id", &self.inner.id.to_string())
             .field("cap", &self.cap)
-            .field("applied", &self.applied.len())
+            .field("applied", &self.applied_len())
             .field("queued", &self.queued())
             .field("slots", &self.inner.committed.len())
             .finish()
@@ -917,11 +868,16 @@ mod tests {
         }
 
         fn receive(&mut self, r: Round, heard: &HeardOf<Self::Msg>) {
-            let before = self.rep.applied().len();
+            let before = self.rep.applied_len() as u64;
             self.rep.receive(r, heard);
             let mut marks = self.marks.lock().unwrap();
             let mark = marks.last_mut().expect("send logged this round");
-            mark.newly = self.rep.applied()[before..].to_vec();
+            mark.newly = self
+                .rep
+                .applied_from(before)
+                .iter()
+                .flat_map(|s| s.commands_from(before).map(|(_, c)| *c))
+                .collect();
             mark.quiescent = self.rep.is_quiescent();
             mark.applied = self.rep.applied_len();
             mark.lingering = self.rep.inner.lingering.len();
@@ -1329,11 +1285,9 @@ mod tests {
         assert_eq!(r.batch_cap(), 1, "cap clamps to ≥ 1");
         r.submit(9);
         assert_eq!(r.queued(), 1);
-        assert_eq!(r.applied(), &[] as &[u64]);
+        assert!(r.applied_from(0).is_empty());
+        assert_eq!(r.applied_len(), 0);
         assert_eq!(r.committed_slots(), 0);
-        let (cmds, rounds) = r.applied_with_rounds();
-        assert!(cmds.is_empty() && rounds.is_empty());
-        assert!(r.applied_slots().is_empty());
         assert!(format!("{r:?}").contains("p1"));
     }
 }

@@ -20,17 +20,23 @@
 //! [`Replica`] proposes one client command per slot. Under load that wastes
 //! the fixed per-slot round cost, so [`BatchingReplica`] amortizes it: a
 //! submitted command is relayed once to every replica, each new slot
-//! drains up to `batch_cap` heard commands into one
-//! [`Batch`](gencon_types::Batch) proposal — the same batch on every
-//! replica in a good round, so the slot skips phase 1's selection round —
-//! the decided batch is **flattened** into the applied log in batch order,
-//! and the replica's output is the flattened command log. Per-slot
-//! Agreement is untouched — a batch is just a value — so honest replicas
-//! still apply identical command sequences; throughput per round scales
-//! with the batch size. A slot that
-//! opens with a dry queue proposes the empty batch; it sorts *last*, so a
-//! slot never commits it while any replica proposed real commands, and
-//! commands whose batch lost its slot are re-queued for a later one.
+//! drains up to `batch_cap` heard commands into one [`Batch`] proposal —
+//! the same batch on every replica in a good round, so the slot skips
+//! phase 1's selection round — the decided batch is **flattened** into
+//! the applied log in batch order, and the replica's output is the
+//! flattened command log. Per-slot Agreement is untouched — a batch is
+//! just a value — so honest replicas still apply identical command
+//! sequences; throughput per round scales with the batch size. A slot
+//! that opens with a dry queue proposes the empty batch; it sorts *last*,
+//! so a slot never commits it while any replica proposed real commands,
+//! and commands whose batch lost its slot are re-queued for a later one.
+//!
+//! The applied log keeps each decided batch once: one [`AppliedSlot`] per
+//! slot, holding the committed batch itself (a shared handle) unless the
+//! slot re-committed an already-applied command, in which case it holds
+//! the slot's new commands only. The dedup window, the server's gateway
+//! deltas and its snapshot folder hold the same handles, read through
+//! [`BatchingReplica::applied_from`].
 //!
 //! # Commit watermarks
 //!
@@ -93,7 +99,7 @@
 mod batch;
 
 pub use batch::{BatchingReplica, DEFAULT_DEDUP_HORIZON};
-pub use gencon_types::Batch;
+pub use gencon_types::{AppliedSlot, Batch};
 
 use std::collections::BTreeMap;
 

@@ -1,7 +1,7 @@
 //! Bounded-memory regression tests: a long-running replica that snapshots
 //! and compacts periodically keeps its resident state flat, recovery
-//! replay rebuilds the exact log, and snapshot install fast-forwards a
-//! fresh replica — all without breaking agreement.
+//! replay rebuilds the exact log, and a folded snapshot install
+//! fast-forwards a fresh replica — all without breaking agreement.
 
 use gencon_algos::pbft;
 use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
@@ -23,6 +23,17 @@ fn step(replicas: &mut [BatchingReplica<u64>], r: u64) {
     for rep in replicas.iter_mut() {
         rep.receive(round, &heard);
     }
+}
+
+/// `(offset, command)` for the replica's applied commands at absolute
+/// offsets `lo..hi`.
+fn log_range(rep: &BatchingReplica<u64>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    rep.applied_from(lo)
+        .iter()
+        .flat_map(|s| s.commands_from(lo))
+        .take_while(|(offset, _)| *offset < hi)
+        .map(|(offset, cmd)| (offset, *cmd))
+        .collect()
 }
 
 fn cluster(cap: usize, horizon: u64) -> Vec<BatchingReplica<u64>> {
@@ -68,7 +79,7 @@ fn compacted_replica_resident_state_stays_flat() {
         }
         if r > 300 {
             for rep in &replicas {
-                high_water.0 = high_water.0.max(rep.applied().len());
+                high_water.0 = high_water.0.max(rep.applied_len() - rep.applied_base());
                 high_water.1 = high_water.1.max(rep.committed_batches().len());
                 high_water.2 = high_water.2.max(rep.seen_len());
             }
@@ -100,21 +111,20 @@ fn compacted_replica_resident_state_stays_flat() {
     // overlapping applied suffixes via absolute offsets.
     let reference = &replicas[0];
     for rep in &replicas[1..] {
-        let lo = reference.applied_base().max(rep.applied_base());
-        let hi = reference.applied_len().min(rep.applied_len());
+        let lo = reference.applied_base().max(rep.applied_base()) as u64;
+        let hi = reference.applied_len().min(rep.applied_len()) as u64;
         assert!(hi > lo, "suffixes must overlap");
-        for abs in lo..hi {
-            assert_eq!(
-                reference.applied()[abs - reference.applied_base()],
-                rep.applied()[abs - rep.applied_base()],
-                "divergence at absolute offset {abs}"
-            );
-        }
+        assert_eq!(
+            log_range(reference, lo, hi),
+            log_range(rep, lo, hi),
+            "divergence in absolute offsets {lo}..{hi}"
+        );
     }
 }
 
 /// WAL-style replay rebuilds exactly the same applied log the original
-/// replica had.
+/// replica had, slot by slot. No command commits twice here, so every
+/// applied slot holds the committed batch itself, not a copy.
 #[test]
 fn replay_committed_rebuilds_the_log() {
     let mut replicas = cluster(3, 1_000);
@@ -133,13 +143,22 @@ fn replay_committed_rebuilds_the_log() {
     for batch in original.committed_batches() {
         recovered.replay_committed(batch.clone());
     }
-    assert_eq!(recovered.applied(), original.applied());
-    assert_eq!(recovered.applied_slots(), original.applied_slots());
+    assert_eq!(recovered.applied_from(0), original.applied_from(0));
     assert_eq!(recovered.committed_slots(), original.committed_slots());
+    for rep in [original, &recovered] {
+        for s in rep.applied_from(0) {
+            let batch = &original.committed_batches()[s.slot as usize];
+            assert!(
+                std::ptr::eq(s.batch.commands().as_ptr(), batch.commands().as_ptr()),
+                "slot {} copied its batch",
+                s.slot
+            );
+        }
+    }
 }
 
-/// Snapshot install fast-forwards a fresh replica past a compacted gap
-/// and further replay continues from the snapshot point.
+/// A folded snapshot install fast-forwards a fresh replica past a
+/// compacted gap and further replay continues from the snapshot point.
 #[test]
 fn install_snapshot_fast_forwards_and_replay_continues() {
     let mut replicas = cluster(3, 1_000);
@@ -153,31 +172,30 @@ fn install_snapshot_fast_forwards_and_replay_continues() {
     let slots = donor.committed_slots() as u64;
     assert!(slots >= 4);
     let cut = slots / 2;
-    // The state-transfer payload: applied pairs below `cut`.
+    // The state-transfer resume data: the applied `(command, slot)`
+    // pairs below `cut` (the horizon keeps every one live) and their count.
     let pairs: Vec<(u64, u64)> = donor
-        .applied()
+        .applied_from(0)
         .iter()
-        .zip(donor.applied_slots())
-        .filter(|(_, &s)| s < cut)
-        .map(|(&c, &s)| (c, s))
+        .filter(|s| s.slot < cut)
+        .flat_map(|s| s.batch.iter().map(move |&c| (c, s.slot)))
         .collect();
+    let applied_len = pairs.len() as u64;
 
     let spec = pbft::<Batch<u64>>(N, 1).unwrap();
     let mut laggard =
         BatchingReplica::new(ProcessId::new(3), spec.params.clone(), 3, usize::MAX).unwrap();
-    assert!(laggard.install_snapshot(pairs.clone(), cut, 0));
+    assert!(laggard.install_folded(&pairs, applied_len, cut));
     assert!(
-        !laggard.install_snapshot(pairs, cut, 0),
+        !laggard.install_folded(&pairs, applied_len, cut),
         "a second install of the same snapshot is a no-op"
     );
     assert_eq!(laggard.committed_slots() as u64, cut);
-    assert_eq!(laggard.applied_len(), {
-        let donor_pairs = donor.applied_slots().iter().filter(|&&s| s < cut).count();
-        donor_pairs
-    });
+    assert_eq!(laggard.applied_len() as u64, applied_len);
     // Replay the rest like WAL records: logs converge exactly.
     for batch in &donor.committed_batches()[cut as usize..] {
         laggard.replay_committed(batch.clone());
     }
-    assert_eq!(laggard.applied(), donor.applied());
+    assert_eq!(laggard.applied_from(0), donor.applied_from(applied_len));
+    assert_eq!(laggard.applied_len(), donor.applied_len());
 }

@@ -122,6 +122,49 @@ impl<V> Batch<V> {
     }
 }
 
+/// One slot of a replica's applied command log: the commands that slot
+/// applied, held as a [`Batch`] handle. When every command of the
+/// committed batch was new, this is the committed batch itself (no
+/// copy); otherwise it holds the new commands only.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AppliedSlot<V> {
+    /// The consensus slot the commands committed in.
+    pub slot: u64,
+    /// Absolute log offset of the slot's first applied command.
+    pub offset: u64,
+    /// The slot's applied commands, in apply order.
+    pub batch: Batch<V>,
+}
+
+impl<V> AppliedSlot<V> {
+    /// One past the absolute offset of the slot's last applied command.
+    #[must_use]
+    pub fn end(&self) -> u64 {
+        self.offset + self.batch.len() as u64
+    }
+
+    /// `(offset, command)` for the slot's commands at absolute offsets at
+    /// or above `from`.
+    pub fn commands_from(&self, from: u64) -> impl Iterator<Item = (u64, &V)> {
+        let skip = usize::try_from(from.saturating_sub(self.offset)).unwrap_or(usize::MAX);
+        (self.offset..).zip(self.batch.iter()).skip(skip)
+    }
+}
+
+/// Groups `(command, slot)` pairs, in slot order, into one `(slot, batch)`
+/// per slot — the per-slot form of a folded snapshot's dedup window.
+pub fn group_by_slot<V: Clone>(pairs: &[(V, u64)]) -> Vec<(u64, Batch<V>)> {
+    pairs
+        .chunk_by(|a, b| a.1 == b.1)
+        .map(|run| {
+            (
+                run[0].1,
+                Batch::new(run.iter().map(|(c, _)| c.clone()).collect()),
+            )
+        })
+        .collect()
+}
+
 impl<V> From<Vec<V>> for Batch<V> {
     fn from(commands: Vec<V>) -> Self {
         Batch::new(commands)

@@ -34,7 +34,7 @@ pub mod quorum;
 mod round;
 mod value;
 
-pub use batch::Batch;
+pub use batch::{group_by_slot, AppliedSlot, Batch};
 pub use config::{Config, ConfigError};
 pub use process::{ProcessId, ProcessSet, ProcessSetIter, MAX_PROCESSES};
 pub use round::{Phase, Round, RoundKind};

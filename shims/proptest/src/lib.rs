@@ -2,8 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this implements
 //! the subset of the proptest API this workspace's property tests use:
-//! the [`Strategy`] trait with `prop_map`/`prop_flat_map`, range and
-//! tuple strategies, [`collection::vec`], [`arbitrary::any`], `Just`,
+//! the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map`/`prop_flat_map`, range and tuple strategies,
+//! [`collection::vec`], [`arbitrary::any`], `Just`,
 //! the `proptest!` test macro, `prop_assert!`/`prop_assert_eq!` and
 //! [`test_runner::ProptestConfig`]. Cases are generated from a
 //! deterministic per-test PRNG; there is **no shrinking** — a failure
@@ -306,7 +307,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
