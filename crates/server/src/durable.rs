@@ -1043,7 +1043,10 @@ mod tests {
     /// their first slot. Straight replay, compaction at the cut and a
     /// folded install at the cut all skip them identically, and the fold's
     /// dedup window lists the per-command `(cmd, slot)` log below the cut.
-    /// Slots that skip nothing share the committed batch.
+    /// Slots that skip nothing share the committed batch. On every path
+    /// `applied_at` reports each command's first slot and its offset in
+    /// the log; an installed replica derives the offsets below the cut
+    /// from the fold.
     #[test]
     fn a_command_committed_twice_is_skipped_the_same_way_on_every_path() {
         let committed: Vec<Batch<u64>> = [
@@ -1071,6 +1074,26 @@ mod tests {
             straight.replay_committed(b.clone());
         }
         assert_eq!(log_range(&straight, 0, u64::MAX), per_command);
+        // Each command's first slot and offset, whichever copy committed.
+        let coordinates = |replica: &BatchingReplica<u64>| -> Vec<Option<(u64, u64)>> {
+            per_command
+                .iter()
+                .map(|(cmd, _)| replica.applied_at(cmd))
+                .collect()
+        };
+        let want: Vec<Option<(u64, u64)>> = per_command
+            .iter()
+            .zip(0u64..)
+            .map(|(&(_, slot), offset)| Some((slot, offset)))
+            .collect();
+        assert_eq!(coordinates(&straight), want);
+        let recommitted = |replica: &BatchingReplica<u64>| -> Vec<Option<(u64, u64)>> {
+            [2, 3, 5].iter().map(|c| replica.applied_at(c)).collect()
+        };
+        assert_eq!(
+            recommitted(&straight),
+            [Some((0, 1)), Some((0, 2)), Some((1, 4))]
+        );
         for s in straight.applied_from(0) {
             let shared = std::ptr::eq(
                 s.batch.commands().as_ptr(),
@@ -1094,13 +1117,33 @@ mod tests {
         }
         assert_eq!(compacted.applied_base(), 5);
         assert_eq!(compacted.applied_from(0), straight.applied_from(5));
+        assert_eq!(coordinates(&compacted), want);
+        assert_eq!(recommitted(&compacted), recommitted(&straight));
 
         let mut installed = solo_replica(4);
         assert!(installed.install_folded(&fs.dedup, fs.applied_len, 2));
+        let below: Vec<Option<(u64, u64)>> = fs
+            .dedup
+            .iter()
+            .map(|(cmd, _)| installed.applied_at(cmd))
+            .collect();
+        assert_eq!(below, want[..5], "offsets derived from the fold");
         for b in &committed[2..] {
             installed.replay_committed(b.clone());
         }
         assert_eq!(installed.applied_from(0), straight.applied_from(5));
+        assert_eq!(coordinates(&installed), want);
+        assert_eq!(recommitted(&installed), recommitted(&straight));
+
+        // A fold whose horizon pruned its window carries a suffix only.
+        let mut late = Folder::<LogApp<u64>>::default();
+        late.absorb(straight.applied_from(0), 4);
+        let fs = late.fold(1);
+        assert_eq!(fs.dedup, per_command[6..7]);
+        let mut installed = solo_replica(4);
+        assert!(installed.install_folded(&fs.dedup, fs.applied_len, 4));
+        assert_eq!(installed.applied_at(&7), Some((3, 6)));
+        assert_eq!(installed.applied_at(&6), None);
     }
 
     /// Satellite regression: a laggard request is answered from the

@@ -29,7 +29,7 @@
 //! * the **delivery** stage walks shipped deltas through the live
 //!   [`Applier`] — producing each command's [`App::Reply`] the moment it
 //!   flattens — and owns all client-visible bookkeeping (inflight map,
-//!   pending acks, re-ack index) and the sockets. Application is ungated
+//!   pending acks, reply store) and the sockets. Application is ungated
 //!   by durability: deterministic replay carries no durability promise.
 //!   Under durable-ack the stage parks each reply until the durable
 //!   watermark published by the persist stage passes the command's
@@ -45,14 +45,13 @@
 //! under a short write timeout (a client that stops reading gets its
 //! connection dropped instead of wedging the delivery stage — which would
 //! stall application and every other client's acks with it), and retried
-//! submissions of already-committed commands are re-acked from the
-//! gateway's commit index (the replica's dedup would otherwise swallow
-//! them silently). The index keeps a command as long as the replica's
-//! dedup does — for its dedup horizon, in slots — since a later retry is
-//! applied anew. After a state-transfer jump the index is seeded from
-//! the transferred fold's dedup pairs, so a retry of a command committed
-//! *below* the jump is still answered (with its slot; the reply itself
-//! was never computed locally and is reported as absent).
+//! submissions of already-committed commands are re-acked (the replica's
+//! dedup would otherwise swallow them silently): the order side ships
+//! where the replica applied the command ([`BatchingReplica::applied_at`],
+//! known for the dedup horizon, after which a retry is applied anew), and
+//! the delivery stage answers from its reply store, the horizon's replies
+//! by offset. A command applied below a state-transfer jump or a restart's
+//! recovered prefix is re-acked without its reply, never computed here.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -122,19 +121,16 @@ impl Default for GatewayConfig {
 enum StageMsg<A: App> {
     /// A fresh local submission was enqueued: remember who to answer.
     Inflight { cmd: A::Cmd, conn: u64 },
-    /// The replica's dedup swallowed a resubmission. Re-ack from the
-    /// commit index, adopt the new connection if the command is still
-    /// inflight, bounce with `fallback` if one is given (redirect /
-    /// backpressure), else park awaiting the commit surfacing.
+    /// A swallowed or bounced resubmission, with where the replica applied
+    /// it (`at`). Re-ack from the reply store once its ack is released,
+    /// else adopt the new connection if it is still inflight, bounce with
+    /// `fallback` if given (redirect / backpressure), else park.
     Retry {
         cmd: A::Cmd,
         conn: u64,
+        at: Option<(u64, u64)>,
         fallback: Option<ClientResponse<A::Cmd, A::Reply>>,
     },
-    /// `(cmd, slot)` pairs known committed from a transferred fold's
-    /// dedup window — replies were computed on another node and are
-    /// unavailable; retries are answered with `reply: None`.
-    KnownCommitted(Vec<(A::Cmd, u64)>),
     /// Newly applied slots, in slot order, sharing the replica's batches:
     /// apply each command at an offset at or above `from`, then ack it
     /// once durable.
@@ -143,7 +139,8 @@ enum StageMsg<A: App> {
         slots: Vec<AppliedSlot<A::Cmd>>,
     },
     /// A state transfer replaced the log; restore the live app from the
-    /// transferred fold.
+    /// transferred fold, and answer parked retries of the commands its
+    /// dedup window says applied below the jump.
     Restore(Box<FoldedState<A::Cmd>>),
     /// Rendezvous: release everything releasable, then answer.
     Barrier(Sender<()>),
@@ -387,7 +384,7 @@ impl<A: App> ClientGateway<A> {
     }
 
     /// Spawns the delivery stage thread on first use; `horizon` is the
-    /// replica's dedup horizon, which bounds the re-ack index.
+    /// replica's dedup horizon, which bounds the reply store.
     fn ensure_stage(&mut self, horizon: u64) {
         if self.stage.is_some() {
             return;
@@ -410,10 +407,9 @@ impl<A: App> ClientGateway<A> {
             gate: self.ack_gate.clone(),
             inflight: HashMap::new(),
             pending: VecDeque::new(),
-            index: HashMap::new(),
+            replies: VecDeque::new(),
+            replies_base: self.applied_seen,
             horizon,
-            newest_slot: 0,
-            purged_at: 0,
             parked: HashMap::new(),
             inflight_count: Arc::clone(&self.inflight_count),
             m: self.meters.clone(),
@@ -468,10 +464,6 @@ fn conn_reader<A: App>(
     }
 }
 
-/// Commit coordinates (`slot`, `offset`) and the reply (if computed
-/// locally) kept per command for re-acking retries.
-type ReackIndex<A> = HashMap<<A as App>::Cmd, (u64, u64, Option<<A as App>::Reply>)>;
-
 /// An applied-but-unacked entry: `(cmd, slot, offset, reply, enq_us)`.
 type PendingAck<A> = (<A as App>::Cmd, u64, u64, <A as App>::Reply, u64);
 
@@ -489,23 +481,19 @@ struct Delivery<A: App> {
     /// (immediately, without a gate). `enq_us` is the tracer timestamp
     /// at apply, so the released `acked` event carries the gate-wait.
     pending: VecDeque<PendingAck<A>>,
-    /// Commit coordinates and replies of recently acked commands, for
-    /// re-acking client retries of already-committed submissions. The
-    /// reply is `None` for commands learned via state transfer (their
-    /// replies were computed on another node). An entry answers while its
-    /// slot is within `horizon` slots of `newest_slot`: past that, the
-    /// replica's dedup has forgotten the command and applies a retry
-    /// anew. [`Delivery::purge`] drops expired entries.
-    index: ReackIndex<A>,
+    /// The reply store, for re-acking retries: `(slot, reply)` of each
+    /// command applied here, by offset from `replies_base`. The reply is
+    /// filled in when the ack is released or dropped (`None`: still behind
+    /// the durable gate). Entries go once their slot is over `horizon`
+    /// slots behind the newest, as the replica's dedup forgets them too.
+    replies: VecDeque<(u64, Option<A::Reply>)>,
+    /// Offset of the first entry of `replies`.
+    replies_base: u64,
     /// The replica's dedup horizon, in slots.
     horizon: u64,
-    /// The highest slot seen applied or known committed.
-    newest_slot: u64,
-    /// `newest_slot` at the last purge.
-    purged_at: u64,
-    /// Retries of commands neither committed nor locally inflight —
-    /// typically committed below a state-transfer jump — parked until a
-    /// `KnownCommitted` or released entry surfaces them.
+    /// Retries of commands not answerable yet and not locally inflight —
+    /// not yet applied, or applied with the ack behind the durable gate —
+    /// parked until the release (or a `Restore` covering them) answers.
     parked: HashMap<A::Cmd, Vec<u64>>,
     inflight_count: Arc<AtomicUsize>,
     m: GatewayMeters,
@@ -541,9 +529,6 @@ impl<A: App> Delivery<A> {
     fn handle(&mut self, msg: StageMsg<A>) {
         match msg {
             StageMsg::Inflight { cmd, conn } => {
-                if self.reack(&cmd, conn) {
-                    return; // raced past its own commit (belt & braces)
-                }
                 if self.inflight.insert(cmd, conn).is_none() {
                     self.inflight_count.fetch_add(1, Ordering::Relaxed);
                 }
@@ -551,14 +536,17 @@ impl<A: App> Delivery<A> {
             StageMsg::Retry {
                 cmd,
                 conn,
+                at,
                 fallback,
             } => {
-                if self.reack(&cmd, conn) {
-                    return;
+                if let Some((slot, offset)) = at {
+                    if let Some(reply) = self.stored(offset) {
+                        self.reack(conn, cmd, slot, offset, reply);
+                        return;
+                    }
                 }
                 if let Some(owner) = self.inflight.get_mut(&cmd) {
-                    // Still awaiting its commit: the newest connection
-                    // wins the eventual ack.
+                    // Still awaiting its ack: the newest connection wins.
                     *owner = conn;
                     return;
                 }
@@ -571,53 +559,19 @@ impl<A: App> Delivery<A> {
                     self.respond(conn, &resp);
                     return;
                 }
-                // Dedup-swallowed but not answerable yet: committed below
-                // a state-transfer jump (the KnownCommitted note is in
-                // flight) or committed remotely and not yet released.
+                // Dedup-swallowed but not answerable yet: not yet applied,
+                // or its ack is still behind the durable gate.
                 if self.parked.len() < PARKED_RETRIES_CAP {
                     self.parked.entry(cmd).or_default().push(conn);
                     self.m.parked.inc();
                 }
             }
-            StageMsg::KnownCommitted(pairs) => {
-                if let Some(&(_, slot)) = pairs.last() {
-                    self.newest_slot = self.newest_slot.max(slot);
-                    self.purge();
-                }
-                for (cmd, slot) in pairs {
-                    // The transferred fold knows the commit slot but not
-                    // the reply — don't clobber a richer local entry.
-                    if self.indexed(&cmd).is_none() {
-                        self.index.insert(cmd.clone(), (slot, 0, None));
-                    }
-                    if let Some(waiters) = self.parked.remove(&cmd) {
-                        let Some((slot, offset, reply)) = self.indexed(&cmd) else {
-                            continue;
-                        };
-                        for conn in waiters {
-                            self.respond(
-                                conn,
-                                &ClientResponse::Committed {
-                                    cmd: cmd.clone(),
-                                    slot,
-                                    offset,
-                                    reply: reply.clone(),
-                                },
-                            );
-                            self.m.reacks.inc();
-                        }
-                    }
-                }
-            }
             StageMsg::Delta { from, slots } => {
                 let applier = Arc::clone(&self.applier);
                 let mut applier = applier.lock();
-                if let Some(last) = slots.last() {
-                    self.newest_slot = self.newest_slot.max(last.slot);
-                    self.purge();
-                }
                 for s in &slots {
                     for (i, (offset, cmd)) in s.commands_from(from).enumerate() {
+                        self.replies.push_back((s.slot, None));
                         let svc_start = self.t.now_us();
                         let reply = applier.apply(s.slot, cmd);
                         publish_hash(self.hash.as_ref(), &*applier);
@@ -637,6 +591,13 @@ impl<A: App> Delivery<A> {
                             .push_back((cmd.clone(), s.slot, offset, reply, now_us));
                     }
                 }
+                if let Some(last) = slots.last() {
+                    let gone = self
+                        .replies
+                        .partition_point(|e| e.0 + self.horizon < last.slot);
+                    self.replies.drain(..gone);
+                    self.replies_base += gone as u64;
+                }
             }
             StageMsg::Restore(fs) => {
                 let mut applier = self.applier.lock();
@@ -646,6 +607,20 @@ impl<A: App> Delivery<A> {
                     // A restore that lands exactly on a boundary stands
                     // in for the applies it skipped.
                     publish_hash(self.hash.as_ref(), &*applier);
+                }
+                // The next delta starts at the jump.
+                if self.replies_base + (self.replies.len() as u64) < fs.applied_len {
+                    self.replies.clear();
+                    self.replies_base = fs.applied_len;
+                }
+                // The fold's dedup pairs end at its `applied_len`.
+                if !self.parked.is_empty() {
+                    let first = fs.applied_len.saturating_sub(fs.dedup.len() as u64);
+                    for ((cmd, slot), offset) in fs.dedup.into_iter().zip(first..) {
+                        for conn in self.parked.remove(&cmd).unwrap_or_default() {
+                            self.reack(conn, cmd.clone(), slot, offset, None);
+                        }
+                    }
                 }
             }
             StageMsg::Barrier(done) => {
@@ -692,74 +667,60 @@ impl<A: App> Delivery<A> {
                 );
                 self.m.acked.inc();
             }
-            if let Some(waiters) = self.parked.remove(&cmd) {
-                for conn in waiters {
-                    self.respond(
-                        conn,
-                        &ClientResponse::Committed {
-                            cmd: cmd.clone(),
-                            slot,
-                            offset,
-                            reply: Some(reply.clone()),
-                        },
-                    );
-                    self.m.reacks.inc();
+            if !self.parked.is_empty() {
+                for conn in self.parked.remove(&cmd).unwrap_or_default() {
+                    self.reack(conn, cmd.clone(), slot, offset, Some(reply.clone()));
                 }
             }
-            self.index.insert(cmd, (slot, offset, Some(reply)));
+            self.store(offset, reply);
         }
         // Bound the parked acks: under a healthy gate the queue drains
         // every group-commit window, but a gate that stops advancing
         // (failing disk) must not grow memory with throughput forever.
         // The *newest* entries are dropped — the oldest are the next to
         // become durable. A dropped command is still committed, and its
-        // coordinates go straight into the re-ack index so a client retry
+        // reply goes straight into the reply store so a client retry
         // after the gate recovers gets answered instead of being swallowed
         // by the replica's dedup.
         while self.pending.len() > PENDING_ACKS_CAP {
-            let (cmd, slot, offset, reply, _) = self.pending.pop_back().expect("over cap");
+            let (_, _, offset, reply, _) = self.pending.pop_back().expect("over cap");
             self.m.dropped.inc();
-            self.index.insert(cmd, (slot, offset, Some(reply)));
+            self.store(offset, reply);
         }
     }
 
-    /// Answers `conn` from the commit index; `false` if the command
-    /// isn't indexed.
-    fn reack(&mut self, cmd: &A::Cmd, conn: u64) -> bool {
-        let Some((slot, offset, reply)) = self.indexed(cmd) else {
-            return false;
-        };
+    /// Files the released (or dropped) reply of the command at `offset`,
+    /// unless the store has moved past it.
+    fn store(&mut self, offset: u64, reply: A::Reply) {
+        let i = offset.wrapping_sub(self.replies_base);
+        if let Some(entry) = self.replies.get_mut(i as usize) {
+            entry.1 = Some(reply);
+        }
+    }
+
+    /// The reply to re-ack the command applied at `offset` with:
+    /// `Some(None)` below the store (applied before a jump or a restart,
+    /// or aged out), `None` while its ack is not released yet.
+    fn stored(&self, offset: u64) -> Option<Option<A::Reply>> {
+        if offset < self.replies_base {
+            return Some(None);
+        }
+        let (_, reply) = self.replies.get((offset - self.replies_base) as usize)?;
+        reply.clone().map(Some)
+    }
+
+    /// Answers a retry of an applied command.
+    fn reack(&self, conn: u64, cmd: A::Cmd, slot: u64, offset: u64, reply: Option<A::Reply>) {
         self.respond(
             conn,
             &ClientResponse::Committed {
-                cmd: cmd.clone(),
+                cmd,
                 slot,
                 offset,
                 reply,
             },
         );
         self.m.reacks.inc();
-        true
-    }
-
-    /// The index entry of `cmd`, if it is still within the dedup horizon.
-    fn indexed(&self, cmd: &A::Cmd) -> Option<(u64, u64, Option<A::Reply>)> {
-        self.index
-            .get(cmd)
-            .filter(|e| e.0 + self.horizon >= self.newest_slot)
-            .cloned()
-    }
-
-    /// Drops the index entries past the dedup horizon, each time the
-    /// newest slot has moved an eighth of a horizon on: one scan of the
-    /// index costs less than hashing every command again to evict it one
-    /// by one, and keeps the index within 9/8 of a horizon.
-    fn purge(&mut self) {
-        if self.newest_slot >= self.purged_at + self.horizon.div_ceil(8) {
-            let (horizon, newest) = (self.horizon, self.newest_slot);
-            self.index.retain(|_, e| e.0 + horizon >= newest);
-            self.purged_at = newest;
-        }
     }
 
     fn respond(&self, conn_id: u64, resp: &ClientResponse<A::Cmd, A::Reply>) {
@@ -798,38 +759,32 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
             }
         }
         while let Ok((conn_id, cmd)) = self.submissions.try_recv() {
-            if let Some(to) = self.cfg.redirect_to {
-                // The delivery stage checks its commit index before
-                // bouncing: a retry of a committed command is re-acked,
-                // not redirected.
-                self.ship(StageMsg::Retry {
+            // The delivery stage re-acks a retry of an applied command
+            // before bouncing it: it is answered, not redirected.
+            let fallback = if let Some(to) = self.cfg.redirect_to {
+                Some(ClientResponse::Redirect {
                     cmd: cmd.clone(),
-                    conn: conn_id,
-                    fallback: Some(ClientResponse::Redirect { cmd, to }),
-                });
-                continue;
-            }
-            if replica.queued() >= self.cfg.backpressure_limit {
-                let queued = replica.queued() as u64;
-                self.ship(StageMsg::Retry {
+                    to,
+                })
+            } else if replica.queued() >= self.cfg.backpressure_limit {
+                Some(ClientResponse::Backpressure {
                     cmd: cmd.clone(),
-                    conn: conn_id,
-                    fallback: Some(ClientResponse::Backpressure { cmd, queued }),
-                });
-                continue;
-            }
-            if replica.submit(cmd.clone()) {
+                    queued: replica.queued() as u64,
+                })
+            } else if replica.submit(cmd.clone()) {
                 self.ship(StageMsg::Inflight { cmd, conn: conn_id });
+                continue;
             } else {
-                // Dedup-swallowed: already committed (re-ack from the
-                // index), still inflight (adopt the new connection), or
-                // committed below a transfer jump (park).
-                self.ship(StageMsg::Retry {
-                    cmd,
-                    conn: conn_id,
-                    fallback: None,
-                });
-            }
+                // Dedup-swallowed: applied (re-ack), still inflight
+                // (adopt the new connection), or neither yet (park).
+                None
+            };
+            self.ship(StageMsg::Retry {
+                at: replica.applied_at(&cmd),
+                cmd,
+                conn: conn_id,
+                fallback,
+            });
         }
     }
 
@@ -867,12 +822,11 @@ impl<A: App> NodeHook<A::Cmd> for ClientGateway<A> {
         // the live app from the transferred fold and fast-forward the
         // shipping cursor past the jump. Pending acks for offsets below
         // the fold were produced before the jump and stay answerable
-        // (their replies were computed at apply time). The fold's dedup
-        // window seeds the re-ack index so retries of commands committed
-        // below the jump are answered instead of parked forever.
+        // (their replies were computed at apply time). Retries parked
+        // before the jump whose commands applied below it are answered
+        // from the fold's dedup window instead of parked forever.
         self.applied_seen = self.applied_seen.max(fs.applied_len);
         self.ship(StageMsg::Restore(Box::new(fs.clone())));
-        self.ship(StageMsg::KnownCommitted(fs.dedup.clone()));
     }
 
     fn finish(&mut self, _replica: &mut BatchingReplica<A::Cmd>) {
@@ -1038,41 +992,117 @@ mod tests {
         assert_eq!(gw.applier().cursor(), 1, "the live app applied it once");
     }
 
-    /// The re-ack index answers for a command exactly as long as the
-    /// replica's dedup keeps it: with one command per slot, a retry inside
-    /// the horizon is re-acked and one past it finds nothing (the replica
-    /// applies it anew). Expired entries are purged every eighth of a
-    /// horizon, so none outlives the horizon by more.
+    /// One hand-driven round of a single-replica log through the hooks.
+    fn drive(gw: &mut ClientGateway<LogApp<u64>>, replica: &mut BatchingReplica<u64>, round: u64) {
+        use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
+
+        let r = gencon_types::Round::new(round);
+        gw.before_round(round, replica);
+        let out = replica.send(r);
+        let mut heard: HeardOf<_> = HeardOf::empty(1);
+        if let Outgoing::Broadcast(m) = out {
+            heard.put(ProcessId::new(0), m);
+        }
+        replica.receive(r, &heard);
+        gw.after_round(round, replica);
+    }
+
+    /// A retry is re-acked exactly as long as the replica's dedup keeps
+    /// the command: with one command per slot, a retry of the oldest
+    /// command still in the dedup is re-acked with its original slot,
+    /// offset and reply, and one a slot older is applied anew. The reply
+    /// store never holds a reply from further back than the horizon.
     #[test]
-    fn reack_index_is_bounded_by_the_dedup_horizon() {
-        let gw = ClientGateway::<LogApp<u64>>::listen(
-            "127.0.0.1:0".parse().unwrap(),
-            GatewayConfig::default(),
-        )
-        .unwrap();
+    fn retries_are_reacked_within_the_dedup_horizon() {
         for horizon in [4u64, 16] {
-            let mut stage = gw.delivery(horizon);
-            for slot in 0..100u64 {
-                stage.handle(StageMsg::Delta {
-                    from: slot,
-                    slots: vec![AppliedSlot {
-                        slot,
-                        offset: slot,
-                        batch: Batch::new(vec![slot * 10]),
-                    }],
-                });
-                stage.release();
+            let mut gw = ClientGateway::<LogApp<u64>>::listen(
+                "127.0.0.1:0".parse().unwrap(),
+                GatewayConfig::default(),
+            )
+            .unwrap();
+            let spec = paxos::<Batch<u64>>(1, 0, ProcessId::new(0)).unwrap();
+            let mut replica =
+                BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 4, usize::MAX)
+                    .unwrap()
+                    .with_dedup_horizon(horizon);
+            // A copy of the delivery stage, fed the deltas the hooks ship,
+            // with an applier of its own.
+            let mut mirror = gw.delivery(horizon);
+            mirror.applier = Arc::new(Mutex::new(Applier::default()));
+            let mut round = 0;
+            let cmds: Vec<u64> = (1000..1000 + 3 * horizon).collect();
+            for &cmd in &cmds {
+                assert!(replica.submit(cmd));
+                let from = replica.applied_len() as u64;
+                while replica.applied_len() as u64 == from {
+                    round += 1;
+                    drive(&mut gw, &mut replica, round);
+                }
+                let slots = replica.applied_from(from).to_vec();
+                let newest = slots.last().unwrap().slot;
+                mirror.handle(StageMsg::Delta { from, slots });
+                mirror.release();
+                let (oldest, _) = mirror.replies.front().unwrap();
                 assert!(
-                    stage
-                        .index
-                        .values()
-                        .all(|e| e.0 + horizon + horizon.div_ceil(8) > slot),
-                    "an entry outlived the horizon at slot {slot} (horizon {horizon})"
+                    oldest + horizon >= newest,
+                    "the store kept slot {oldest} at slot {newest} (horizon {horizon})"
                 );
             }
-            let oldest_live = 99 - horizon;
-            assert!(stage.reack(&(oldest_live * 10), 0), "inside the horizon");
-            assert!(!stage.reack(&((oldest_live - 1) * 10), 0), "past it");
+            let newest = replica.applied_from(0).last().unwrap().slot;
+            let (oldest, at) = cmds
+                .iter()
+                .find_map(|&c| replica.applied_at(&c).map(|at| (c, at)))
+                .unwrap();
+            assert_eq!(at.0 + horizon, newest, "the oldest command in the dedup");
+            assert_eq!(replica.applied_at(&(oldest - 1)), None, "one slot older");
+
+            let mut conn = connect_and_submit(gw.local_addr(), &[oldest]);
+            conn.set_read_timeout(Some(std::time::Duration::from_millis(20)))
+                .unwrap();
+            let mut reack = None;
+            for _ in 0..200 {
+                gw.before_round(round, &mut replica);
+                if let Ok(resp) = read_frame::<_, ClientResponse<u64>>(&mut conn) {
+                    reack = Some(resp);
+                    break;
+                }
+            }
+            assert_eq!(
+                reack.expect("retry re-acked within the polling budget"),
+                ClientResponse::Committed {
+                    cmd: oldest,
+                    slot: at.0,
+                    offset: at.1,
+                    reply: Some(at.1),
+                }
+            );
+
+            write_frame(&mut conn, &ClientRequest::Submit { cmd: oldest - 1 }).unwrap();
+            let mut ack = None;
+            for _ in 0..200 {
+                round += 1;
+                drive(&mut gw, &mut replica, round);
+                if let Ok(resp) = read_frame::<_, ClientResponse<u64>>(&mut conn) {
+                    ack = Some(resp);
+                    break;
+                }
+            }
+            let applied = cmds.len() as u64;
+            let ClientResponse::Committed {
+                cmd, offset, reply, ..
+            } = ack.expect("the older retry applied within the polling budget")
+            else {
+                panic!("expected a commit ack");
+            };
+            assert_eq!(
+                (cmd, offset, reply),
+                (oldest - 1, applied, Some(applied)),
+                "applied anew"
+            );
+            assert_eq!(
+                replica.applied_at(&(oldest - 1)).map(|at| at.1),
+                Some(applied)
+            );
         }
     }
 
@@ -1183,7 +1213,7 @@ mod tests {
         )
         .unwrap();
         let spec = paxos::<Batch<KvCmd>>(1, 0, ProcessId::new(0)).unwrap();
-        // A short dedup horizon keeps the re-ack index, which holds the
+        // A short dedup horizon keeps the reply store, which holds the
         // 256 KiB replies, to a few slots.
         let mut replica =
             BatchingReplica::new(ProcessId::new(0), spec.params.clone(), 16, usize::MAX)

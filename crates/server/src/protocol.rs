@@ -54,9 +54,11 @@ pub enum ClientResponse<V, R = u64> {
         slot: u64,
         /// Position in the flattened replicated log.
         offset: u64,
-        /// The application's reply (`None` from servers running without
-        /// an application layer, or for re-acks whose reply aged out of
-        /// the index).
+        /// The application's reply. `None` only on a re-ack of a command
+        /// applied below a state-transfer jump (or below a restart's
+        /// recovered prefix), whose reply was computed on another node or
+        /// by an earlier process, or of one whose reply aged out of the
+        /// reply store.
         reply: Option<R>,
     },
     /// The server's queue is full; retry `cmd` after a pause.

@@ -189,9 +189,10 @@ fn clean_shutdown_strands_no_acks() {
 /// The transfer-jump re-ack regression: a node that installed a folded
 /// snapshot never locally applied the commands below the jump, so a
 /// client retry of one of them is dedup-swallowed by the replica. The
-/// gateway must answer it from the transferred dedup set (slot known,
-/// offset/reply unknown) instead of leaving the client hanging — and new
-/// commands must keep committing normally above the jump.
+/// gateway must answer it with the slot and offset the replica derived
+/// from the transferred dedup window (the reply was computed elsewhere and
+/// is reported as absent) instead of leaving the client hanging — and
+/// new commands must keep committing normally above the jump.
 #[test]
 fn retry_across_state_transfer_jump_is_reacked() {
     let mut gw = ClientGateway::<LogApp<u64>>::listen(
@@ -239,11 +240,11 @@ fn retry_across_state_transfer_jump_is_reacked() {
         ClientResponse::Committed {
             cmd: 300,
             slot: 2,
-            offset: 0,
+            offset: 2,
             reply: None,
         },
-        "the transferred dedup set must answer the retry (slot from the \
-         jump; offset/reply unknown after a fold)"
+        "the transferred dedup window must answer the retry (slot and \
+         offset from the jump; reply unknown after a fold)"
     );
     assert_eq!(replica.applied_len(), 3, "no duplicate apply");
 

@@ -23,11 +23,13 @@
 //! batches that lost its slot go back on the relay list, which keeps
 //! every command live under loss.
 
+use std::collections::{hash_map::Entry, BTreeMap, HashMap, VecDeque};
+
 use gencon_core::{Params, ParamsError};
 use gencon_rounds::{HeardOf, Outgoing, Predicate, RoundProcess};
 use gencon_types::{group_by_slot, AppliedSlot, Batch, ProcessId, Round, Value};
 
-use crate::{Replica, SmrMsg};
+use crate::{Replica, Slot, SmrMsg};
 
 /// A replica that drains its pending queue into one [`Batch`] proposal per
 /// slot instead of one command per slot.
@@ -62,16 +64,15 @@ pub struct BatchingReplica<V: Value> {
     cap: usize,
     /// Commands submitted here (or lost from one of our batches) and not
     /// yet relayed: each send relays up to window × cap of them.
-    to_relay: std::collections::VecDeque<V>,
-    /// The commands in `to_relay`.
-    relaying: std::collections::HashSet<V>,
+    to_relay: VecDeque<V>,
     /// The proposal queue: commands heard relayed (our own loopback
     /// bundle included), in heard order, not yet drained into a proposed
     /// batch.
     queue: Vec<V>,
-    /// Commands in `queue` or in one of the `proposed` batches: a relay
-    /// heard again while the command is held queues nothing.
-    held: std::collections::HashSet<V>,
+    /// Every command this replica knows of, keyed once: waiting to relay,
+    /// held (queued or in one of our proposals), or applied within the
+    /// dedup horizon. A command with no entry is new to this replica.
+    seen: HashMap<V, Seen>,
     /// The retained applied log: one entry per flattened slot that
     /// applied a command, in slot order, each holding its commands as a
     /// shared [`Batch`] handle (the committed batch itself unless a
@@ -89,21 +90,16 @@ pub struct BatchingReplica<V: Value> {
     commit_target: usize,
     /// Batches this replica proposed, by slot — compared against the
     /// committed batch so losing commands can be relayed again.
-    proposed: std::collections::BTreeMap<crate::Slot, Batch<V>>,
-    /// Commands applied within the dedup horizon: with relays,
-    /// overlapping batches can win different slots, so flattening
-    /// deduplicates. The dedup decision **must be identical on every
-    /// honest replica** (it determines the applied log), so membership is
-    /// a pure function of the shared committed sequence: a command stays
-    /// in the set for exactly `dedup_horizon` slots after the slot it
-    /// applied in, evicted by the flatten loop itself — never by local
-    /// compaction, which runs at replica-specific times.
-    applied_set: std::collections::HashSet<V>,
-    /// Eviction queue for `applied_set`: `(slot, applied commands)` in
-    /// apply order, sharing the applied log's batch handles. Bounds dedup
-    /// memory to the horizon's worth of commands however long the replica
-    /// runs.
-    dedup_window: std::collections::VecDeque<(crate::Slot, Batch<V>)>,
+    proposed: BTreeMap<Slot, Batch<V>>,
+    /// The eviction queue of `seen`'s applied marks: `(slot, applied
+    /// commands)` in apply order, sharing the applied log's batches. With
+    /// relays, overlapping batches can win different slots, so flattening
+    /// deduplicates; the decision **must be identical on every honest
+    /// replica** (it shapes the applied log), so a command counts as
+    /// applied for exactly `dedup_horizon` slots after its slot, evicted by
+    /// the flatten loop itself — never by local compaction, which runs at
+    /// replica-specific times.
+    dedup_window: VecDeque<(Slot, Batch<V>)>,
     /// Slots a command stays deduplicated after applying. Must be the
     /// same on every replica of a cluster (it shapes the shared log);
     /// client retries arriving later than this many slots after the
@@ -113,7 +109,33 @@ pub struct BatchingReplica<V: Value> {
     /// One past the highest slot any heard bundle referenced: while it is
     /// above the next slot to open, a peer works a slot this replica has
     /// not opened yet (or a restarted replica learned the cluster's head).
-    heard_next: crate::Slot,
+    heard_next: Slot,
+}
+
+/// Where a command stands on a replica. The marks overlap only briefly: a
+/// command on our relay list, or in our proposal for a later slot, can
+/// apply through another replica's batch before that entry is cleaned up.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct Seen {
+    /// Applied at `(slot, offset)`, within the dedup horizon.
+    applied: Option<(Slot, u64)>,
+    /// On the relay list.
+    relaying: bool,
+    /// In the proposal queue or one of our proposed batches.
+    held: bool,
+}
+
+/// Applies `f` to `cmd`'s entry and returns it, dropping the entry once
+/// nothing marks the command: one hash when it goes, two when it stays.
+fn unmark<V: Value>(seen: &mut HashMap<V, Seen>, cmd: &V, f: impl FnOnce(&mut Seen)) -> Seen {
+    let Some((cmd, mut s)) = seen.remove_entry(cmd) else {
+        return Seen::default();
+    };
+    f(&mut s);
+    if s != Seen::default() {
+        seen.insert(cmd, s);
+    }
+    s
 }
 
 /// Default [`BatchingReplica::with_dedup_horizon`]: far beyond any client
@@ -153,17 +175,15 @@ impl<V: Value> BatchingReplica<V> {
         Ok(BatchingReplica {
             inner,
             cap: batch_cap.max(1),
-            to_relay: std::collections::VecDeque::new(),
-            relaying: std::collections::HashSet::new(),
+            to_relay: VecDeque::new(),
             queue: Vec::new(),
-            held: std::collections::HashSet::new(),
+            seen: HashMap::new(),
             applied: Vec::new(),
             applied_base: 0,
             flattened: 0,
             commit_target,
-            proposed: std::collections::BTreeMap::new(),
-            applied_set: std::collections::HashSet::new(),
-            dedup_window: std::collections::VecDeque::new(),
+            proposed: BTreeMap::new(),
+            dedup_window: VecDeque::new(),
             dedup_horizon: DEFAULT_DEDUP_HORIZON,
             heard_next: 0,
         })
@@ -193,16 +213,14 @@ impl<V: Value> BatchingReplica<V> {
     /// dropped, so client retries and relay echoes are idempotent.
     /// Returns whether the command was freshly enqueued — `false` means
     /// the dedup swallowed it, so a caller holding a client connection
-    /// knows to answer the retry from its re-ack index instead of waiting
-    /// for a commit that already happened.
+    /// knows to answer the retry (from [`BatchingReplica::applied_at`])
+    /// instead of waiting for a commit that already happened.
     pub fn submit(&mut self, command: V) -> bool {
-        if self.applied_set.contains(&command)
-            || self.held.contains(&command)
-            || !self.relaying.insert(command.clone())
-        {
+        let Entry::Vacant(e) = self.seen.entry(command) else {
             return false;
-        }
-        self.to_relay.push_back(command);
+        };
+        self.to_relay.push_back(e.key().clone());
+        e.insert(Seen::default()).relaying = true;
         true
     }
 
@@ -254,12 +272,20 @@ impl<V: Value> BatchingReplica<V> {
     /// lost.
     pub fn merge_relays(&mut self, relays: &[Batch<V>]) {
         for cmd in relays.iter().flat_map(Batch::commands) {
-            if self.applied_set.contains(cmd) || self.held.contains(cmd) {
-                continue;
+            let s = self.seen.entry(cmd.clone()).or_default();
+            if s.applied.is_none() && !s.held {
+                s.held = true;
+                self.queue.push(cmd.clone());
             }
-            self.held.insert(cmd.clone());
-            self.queue.push(cmd.clone());
         }
+    }
+
+    /// Where `command` applied — its `(slot, offset)` — while it is within
+    /// the dedup horizon; `None` for a command not applied, or applied so
+    /// long ago that a resubmission would apply it anew.
+    #[must_use]
+    pub fn applied_at(&self, command: &V) -> Option<(Slot, u64)> {
+        self.seen.get(command).and_then(|s| s.applied)
     }
 
     /// Committed consensus slots so far (including no-op slots and the
@@ -279,16 +305,16 @@ impl<V: Value> BatchingReplica<V> {
 
     /// First slot still retained in [`BatchingReplica::committed_batches`].
     #[must_use]
-    pub fn committed_base_slot(&self) -> crate::Slot {
+    pub fn committed_base_slot(&self) -> Slot {
         self.inner.committed_base()
     }
 
-    /// Commands currently held for dedup: applied within the horizon,
-    /// waiting to relay, queued or proposed — regression surface for the
-    /// bounded-memory guarantee.
+    /// Commands currently known for dedup — applied within the horizon,
+    /// waiting to relay, queued or proposed — each counted once:
+    /// regression surface for the bounded-memory guarantee.
     #[must_use]
     pub fn seen_len(&self) -> usize {
-        self.applied_set.len() + self.relaying.len() + self.held.len()
+        self.seen.len()
     }
 
     /// The configured batch cap.
@@ -352,7 +378,7 @@ impl<V: Value> BatchingReplica<V> {
         let before = self.flattened;
         let mut lost: Vec<V> = Vec::new();
         while self.flattened < self.inner.committed_len() {
-            let slot = self.flattened as crate::Slot;
+            let slot = self.flattened as Slot;
             // Evict dedup entries past the horizon *before* this slot's
             // dedup decisions — a pure function of (shared sequence,
             // shared horizon), so every replica applies identically no
@@ -363,7 +389,7 @@ impl<V: Value> BatchingReplica<V> {
                 }
                 let (_, gone) = self.dedup_window.pop_front().expect("front exists");
                 for cmd in &gone {
-                    self.applied_set.remove(cmd);
+                    unmark(&mut self.seen, cmd, |s| s.applied = None);
                 }
             }
             let idx = (slot - self.inner.committed_base()) as usize;
@@ -372,9 +398,18 @@ impl<V: Value> BatchingReplica<V> {
             // only the first commit of a command applies (deterministic:
             // the batch sequence is shared). The slot keeps the committed
             // batch itself unless one of its commands is skipped.
+            let offset = self.applied_len() as u64;
             let mut kept: Option<Vec<V>> = None;
             for (i, cmd) in batch.iter().enumerate() {
-                let new = self.applied_set.insert(cmd.clone());
+                let at = Some((slot, offset + kept.as_ref().map_or(i, Vec::len) as u64));
+                let new = if let Some(s) = self.seen.get_mut(cmd) {
+                    let new = s.applied.is_none();
+                    s.applied = s.applied.or(at);
+                    new
+                } else {
+                    self.seen.entry(cmd.clone()).or_default().applied = at;
+                    true
+                };
                 match (&mut kept, new) {
                     (None, false) => kept = Some(batch.commands()[..i].to_vec()),
                     (Some(kept), true) => kept.push(cmd.clone()),
@@ -383,7 +418,6 @@ impl<V: Value> BatchingReplica<V> {
             }
             let applied = kept.map_or_else(|| batch.clone(), Batch::new);
             if !applied.is_empty() {
-                let offset = self.applied_len() as u64;
                 self.dedup_window.push_back((slot, applied.clone()));
                 self.applied.push(AppliedSlot {
                     slot,
@@ -392,15 +426,17 @@ impl<V: Value> BatchingReplica<V> {
                 });
             }
             if let Some(mine) = self.proposed.remove(&slot) {
+                let won = mine == batch;
+                // A won slot applied each of its (held) commands, here or
+                // earlier; the unapplied ones of a lost slot relay again.
                 for c in mine.commands() {
-                    self.held.remove(c);
-                }
-                if mine != batch {
-                    lost.extend(
-                        mine.into_commands()
-                            .into_iter()
-                            .filter(|c| !self.applied_set.contains(c)),
-                    );
+                    if let Some(s) = self.seen.get_mut(c) {
+                        s.held = false;
+                        if !won && s.applied.is_none() {
+                            s.relaying = true;
+                            lost.push(c.clone());
+                        }
+                    }
                 }
             }
             self.flattened += 1;
@@ -410,23 +446,22 @@ impl<V: Value> BatchingReplica<V> {
         // this, relayed duplicates churn slots forever without growing
         // the applied log.
         if self.flattened > before {
-            let (applied_set, held) = (&self.applied_set, &mut self.held);
-            self.queue.retain(|c| {
-                let keep = !applied_set.contains(c);
-                if !keep {
-                    held.remove(c);
+            let seen = &mut self.seen;
+            self.queue.retain(|c| match seen.get_mut(c) {
+                Some(s) if s.applied.is_some() => {
+                    s.held = false;
+                    false
                 }
-                keep
+                _ => true,
             });
         }
     }
 
-    /// Puts commands that lost their slot back at the front of the relay
-    /// list, oldest first, so client FIFO order is preserved across
-    /// retries. Relaying them again is what keeps them live under loss.
+    /// Puts commands that lost their slot (already marked relaying) back at
+    /// the front of the relay list, oldest first, so client FIFO order
+    /// survives; relaying them again keeps them live under loss.
     fn relay_again(&mut self, lost: Vec<V>) {
         for c in lost.into_iter().rev() {
-            self.relaying.insert(c.clone());
             self.to_relay.push_front(c);
         }
     }
@@ -442,8 +477,8 @@ impl<V: Value> BatchingReplica<V> {
     /// After compaction the replica no longer answers decision claims for
     /// slots below `slot` — laggards further behind need snapshot state
     /// transfer.
-    pub fn compact_below(&mut self, slot: crate::Slot) {
-        let slot = slot.min(self.flattened as crate::Slot);
+    pub fn compact_below(&mut self, slot: Slot) {
+        let slot = slot.min(self.flattened as Slot);
         let cut = self.applied.partition_point(|s| s.slot < slot);
         self.applied_base = self
             .applied
@@ -471,29 +506,6 @@ impl<V: Value> BatchingReplica<V> {
         self.flatten();
     }
 
-    /// The queue side of a snapshot install at `upto_slot`: drops the
-    /// commands in `applied` from both queues, puts the unapplied commands
-    /// of our proposals below the cut back on the relay list, and re-marks
-    /// everything still queued or proposed as held.
-    fn settle_below(&mut self, upto_slot: crate::Slot, applied: &std::collections::HashSet<V>) {
-        let kept = self.proposed.split_off(&upto_slot);
-        let lost: Vec<V> = std::mem::replace(&mut self.proposed, kept)
-            .into_values()
-            .flat_map(Batch::into_commands)
-            .filter(|c| !applied.contains(c))
-            .collect();
-        self.queue.retain(|c| !applied.contains(c));
-        self.to_relay.retain(|c| !applied.contains(c));
-        self.relaying = self.to_relay.iter().cloned().collect();
-        self.relay_again(lost);
-        self.held = self
-            .queue
-            .iter()
-            .chain(self.proposed.values().flat_map(Batch::commands))
-            .cloned()
-            .collect();
-    }
-
     /// Installs a **folded** snapshot: the applied prefix below
     /// `upto_slot` is *not* re-materialized — the application layer holds
     /// its folded state instead — so the replica keeps only the resume
@@ -503,6 +515,9 @@ impl<V: Value> BatchingReplica<V> {
     /// the cut, exactly what a replica that flattened slot by slot would
     /// hold on reaching `upto_slot` — without them the installer's dedup
     /// decisions at the next slots could diverge from the cluster's).
+    /// The pairs are the contiguous applied suffix that ends at
+    /// `applied_len`, so pair `i` applied at offset
+    /// `applied_len - dedup.len() + i`.
     ///
     /// Returns whether the snapshot was installed — it is ignored unless
     /// it extends this replica's committed prefix. The applied log
@@ -510,28 +525,48 @@ impl<V: Value> BatchingReplica<V> {
     /// rounds take over from `upto_slot`.
     pub fn install_folded(
         &mut self,
-        dedup: &[(V, crate::Slot)],
+        dedup: &[(V, Slot)],
         applied_len: u64,
-        upto_slot: crate::Slot,
+        upto_slot: Slot,
     ) -> bool {
         if (upto_slot as usize) <= self.inner.committed_len() {
             return false;
         }
         self.applied.clear();
         self.applied_base = usize::try_from(applied_len).unwrap_or(usize::MAX);
-        self.applied_set.clear();
+        self.seen.clear();
         self.dedup_window.clear();
+        let mut offset = applied_len.saturating_sub(dedup.len() as u64);
         for (slot, batch) in group_by_slot(dedup) {
+            let first = offset;
+            offset += batch.len() as u64;
             if slot < upto_slot && slot + self.dedup_horizon >= upto_slot {
-                self.applied_set.extend(batch.iter().cloned());
+                for (c, at) in batch.iter().zip(first..) {
+                    self.seen.entry(c.clone()).or_default().applied = Some((slot, at));
+                }
                 self.dedup_window.push_back((slot, batch));
             }
         }
-        // The carried dedup window purges the local queues of commands
-        // the cluster already applied.
-        let applied = std::mem::take(&mut self.applied_set);
-        self.settle_below(upto_slot, &applied);
-        self.applied_set = applied;
+        // Drop what the cluster applied from the local queues, relay our
+        // lost proposals again, and mark what stays relaying or held.
+        let seen = &mut self.seen;
+        let applied = |c: &V| seen.get(c).is_some_and(|s| s.applied.is_some());
+        let kept = self.proposed.split_off(&upto_slot);
+        let lost: Vec<V> = std::mem::replace(&mut self.proposed, kept)
+            .into_values()
+            .flat_map(Batch::into_commands)
+            .filter(|c| !applied(c))
+            .collect();
+        self.queue.retain(|c| !applied(c));
+        self.to_relay.retain(|c| !applied(c));
+        for c in self.to_relay.iter().chain(&lost) {
+            seen.entry(c.clone()).or_default().relaying = true;
+        }
+        let proposed = self.proposed.values().flat_map(Batch::commands);
+        for c in self.queue.iter().chain(proposed) {
+            seen.entry(c.clone()).or_default().held = true;
+        }
+        self.relay_again(lost);
         self.flattened = upto_slot as usize;
         self.inner.install_decided_prefix(upto_slot);
         // Anything the inner replica had already decided above the
@@ -582,7 +617,7 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
         let mut drained = 0;
         for (j, chunk) in built.into_iter().take(consumed).enumerate() {
             drained += chunk.len();
-            self.proposed.insert(first_new + j as crate::Slot, chunk);
+            self.proposed.insert(first_new + j as Slot, chunk);
         }
         self.queue.drain(..drained);
         // Relay each command once, up to window × cap per round, in
@@ -599,9 +634,8 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
             let Some(cmd) = self.to_relay.pop_front() else {
                 break;
             };
-            self.relaying.remove(&cmd);
-            if self.held.contains(&cmd) || self.applied_set.contains(&cmd) {
-                continue;
+            if unmark(&mut self.seen, &cmd, |s| s.relaying = false) != Seen::default() {
+                continue; // held or applied
             }
             left -= 1;
             match chunks.last_mut() {

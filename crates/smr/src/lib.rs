@@ -38,6 +38,12 @@
 //! deltas and its snapshot folder hold the same handles, read through
 //! [`BatchingReplica::applied_from`].
 //!
+//! Deduplication is one map per replica from each command to where it
+//! stands: waiting to relay, held (queued or proposed), or applied at
+//! `(slot, offset)` — for a fixed number of slots, so the dedup decision
+//! is a pure function of the committed sequence.
+//! [`BatchingReplica::applied_at`] tells a gateway where a retry landed.
+//!
 //! # Commit watermarks
 //!
 //! A decided slot's engine keeps voting for [`LINGER_ROUNDS`], so a peer
