@@ -245,7 +245,7 @@ impl App for BankApp {
             account.encode(&mut buf);
             balance.encode(&mut buf);
         }
-        buf.freeze().to_vec()
+        buf.into()
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), AppError> {

@@ -13,12 +13,14 @@
 //!
 //! Both read the replica's applied log in its one form, a run of
 //! [`AppliedSlot`]s whose batches the replica shares: the folder's dedup
-//! window keeps those handles, so folding copies a command only into the
-//! encoded [`FoldedState`].
+//! window keeps those handles, and [`Folder::fold`] encodes the
+//! [`FoldedState`] straight from them, so no command is copied except
+//! into the encoded bytes.
 
 use std::collections::VecDeque;
 
-use gencon_net::FoldedState;
+use bytes::BytesMut;
+use gencon_net::{encode_folded, FoldedState};
 use gencon_types::{group_by_slot, AppliedSlot, Batch};
 
 use crate::{App, AppError};
@@ -132,6 +134,9 @@ pub struct Folder<A: App> {
     /// an installer's dedup decisions match replicas that flattened slot
     /// by slot.
     window: VecDeque<(u64, Batch<A::Cmd>)>,
+    /// Length of the last fold's encoding: the next fold's buffer is
+    /// sized from it, since consecutive cuts are about the same size.
+    fold_len: usize,
 }
 
 impl<A: App> Default for Folder<A> {
@@ -148,6 +153,7 @@ impl<A: App> Folder<A> {
             applied_len: 0,
             covered_slot: 0,
             window: VecDeque::new(),
+            fold_len: 0,
         }
     }
 
@@ -198,25 +204,34 @@ impl<A: App> Folder<A> {
     }
 
     /// Folds the current (cut-aligned) state, pruning the dedup window to
-    /// `horizon` slots behind the cut. Every replica folding the same cut
-    /// with the same horizon produces byte-identical output.
+    /// `horizon` slots behind the cut, and returns its encoded
+    /// [`FoldedState`] — written straight from the window's shared
+    /// batches into one buffer, cloning no command. Every replica folding
+    /// the same cut with the same horizon produces byte-identical output.
     #[must_use]
-    pub fn fold(&mut self, horizon: u64) -> FoldedState<A::Cmd> {
+    pub fn fold(&mut self, horizon: u64) -> Vec<u8> {
         while let Some((slot, _)) = self.window.front() {
             if slot + horizon >= self.covered_slot {
                 break;
             }
             self.window.pop_front();
         }
-        FoldedState {
-            applied_len: self.applied_len,
-            dedup: self
-                .window
+        let app = self.app.fold_snapshot();
+        let pairs = self.window.iter().map(|(_, batch)| batch.len()).sum();
+        // 16 bytes of lengths, at least 9 per pair (a command and its slot).
+        let floor = 16 + 9 * pairs + app.len();
+        let mut buf = BytesMut::with_capacity(self.fold_len.max(floor));
+        encode_folded(
+            &mut buf,
+            self.applied_len,
+            pairs,
+            self.window
                 .iter()
-                .flat_map(|(slot, batch)| batch.iter().map(|c| (c.clone(), *slot)))
-                .collect(),
-            app: self.app.fold_snapshot(),
-        }
+                .flat_map(|(slot, batch)| batch.iter().map(|cmd| (cmd, *slot))),
+            &app,
+        );
+        self.fold_len = buf.len();
+        buf.into()
     }
 
     /// Replaces the folder's state with a transferred/recovered
@@ -238,6 +253,12 @@ impl<A: App> Folder<A> {
 mod tests {
     use super::*;
     use crate::{KvApp, KvCmd, KvOp, KvReply};
+    use gencon_net::Wire;
+
+    /// Decodes a fold's bytes.
+    fn decoded(fold: Vec<u8>) -> FoldedState<KvCmd> {
+        FoldedState::decode(&mut bytes::Bytes::from(fold)).expect("a fold decodes")
+    }
 
     fn put(id: u64, key: u8, value: u64) -> KvCmd {
         KvCmd {
@@ -312,7 +333,7 @@ mod tests {
         f2.absorb(&log, 4);
         let s2 = f2.fold(100);
         assert_eq!(s1, s2, "fold at a cut is independent of fold history");
-        assert_eq!(s1.applied_len, 8, "slots 0..4 hold 8 commands");
+        assert_eq!(decoded(s1).applied_len, 8, "slots 0..4 hold 8 commands");
     }
 
     #[test]
@@ -321,7 +342,7 @@ mod tests {
         let mut f = Folder::<KvApp>::default();
         f.absorb(&log, 5);
         // Horizon 2: only commands applied in slots 3 and 4 stay.
-        let fs = f.fold(2);
+        let fs = decoded(f.fold(2));
         assert_eq!(fs.dedup.len(), 4);
         assert!(fs.dedup.iter().all(|(_, s)| *s + 2 >= 5));
         // A huge horizon keeps everything, in log order.
@@ -331,7 +352,7 @@ mod tests {
             .iter()
             .flat_map(|s| s.batch.iter().map(|c| (c.clone(), s.slot)))
             .collect();
-        assert_eq!(f2.fold(1_000).dedup, every);
+        assert_eq!(decoded(f2.fold(1_000)).dedup, every);
     }
 
     #[test]
@@ -353,7 +374,7 @@ mod tests {
     fn restore_roundtrips_applier_and_folder() {
         let mut f = Folder::<KvApp>::default();
         f.absorb(&sample(), 5);
-        let fs = f.fold(3);
+        let fs = decoded(f.fold(3));
 
         let mut fresh = Folder::<KvApp>::default();
         fresh.restore(&fs, 5).unwrap();

@@ -227,7 +227,7 @@ impl App for KvApp {
             k.encode(&mut buf);
             v.encode(&mut buf);
         }
-        buf.freeze().to_vec()
+        buf.into()
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), AppError> {

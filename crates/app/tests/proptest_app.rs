@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use gencon_app::{App, BankApp, BankCmd, BankOp, Folder, KvApp, KvCmd, KvOp};
+use gencon_net::{FoldedState, Wire};
 use gencon_types::{group_by_slot, AppliedSlot};
 
 fn kv_ops() -> impl Strategy<Value = KvOp> {
@@ -98,6 +99,9 @@ proptest! {
     /// Folding at a boundary is independent of the fold-cut history: a
     /// folder that folded at many intermediate cuts produces the
     /// byte-identical `FoldedState` as one that jumped straight there.
+    /// The bytes are the `FoldedState` encoding: they decode and re-encode
+    /// to themselves, and equal a `FoldedState` built from the absorbed
+    /// log (every command applied, the pairs within the horizon kept).
     #[test]
     fn folder_output_is_cut_history_independent(
         stream in kv_streams(),
@@ -124,7 +128,26 @@ proptest! {
         let mut direct = Folder::<KvApp>::default();
         direct.absorb(&log, top);
 
-        prop_assert_eq!(staged.fold(horizon), direct.fold(horizon));
+        let fold = direct.fold(horizon);
+        prop_assert_eq!(staged.fold(horizon), fold.clone());
+
+        let decoded = FoldedState::<KvCmd>::decode(&mut bytes::Bytes::from(fold.clone()))
+            .expect("a fold decodes");
+        prop_assert_eq!(decoded.to_bytes().to_vec(), fold.clone());
+        let mut app = KvApp::default();
+        for (offset, (cmd, slot)) in stream.iter().enumerate() {
+            app.apply(*slot, offset as u64, cmd);
+        }
+        let reference = FoldedState {
+            applied_len: stream.len() as u64,
+            dedup: stream
+                .iter()
+                .filter(|(_, slot)| slot + horizon >= top)
+                .cloned()
+                .collect(),
+            app: app.fold_snapshot(),
+        };
+        prop_assert_eq!(reference.to_bytes().to_vec(), fold);
     }
 
     /// Conservation: any interleaving of mints and transfers keeps

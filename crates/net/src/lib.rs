@@ -57,6 +57,6 @@ pub use transport::{
 };
 pub use wire::{Envelope, Wire, WireError};
 pub use wire_sync::{
-    decode_state, encode_state, AssemblyOutcome, ChunkAssembly, FoldedState, SnapshotManifest,
-    SyncFrame, CHUNK_BYTES, MAX_CHUNKS,
+    decode_state, encode_folded, encode_state, AssemblyOutcome, ChunkAssembly, FoldedState,
+    SnapshotManifest, SyncFrame, CHUNK_BYTES, MAX_CHUNKS,
 };

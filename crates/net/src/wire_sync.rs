@@ -77,12 +77,26 @@ impl SnapshotManifest {
     /// Describes `state` as a manifest (computing chunk count and hash).
     #[must_use]
     pub fn describe(upto_slot: u64, applied_len: u64, state: &[u8]) -> Self {
+        SnapshotManifest::describe_hashed(upto_slot, applied_len, state, sha256(state))
+    }
+
+    /// [`describe`](SnapshotManifest::describe) for a `state` whose
+    /// SHA-256 is already known — a snapshot read back from a store,
+    /// which checked the hash on the way in. A wrong `sha256` makes every
+    /// receiver discard the transfer.
+    #[must_use]
+    pub fn describe_hashed(
+        upto_slot: u64,
+        applied_len: u64,
+        state: &[u8],
+        sha256: [u8; 32],
+    ) -> Self {
         SnapshotManifest {
             upto_slot,
             applied_len,
             chunks: state.len().div_ceil(CHUNK_BYTES) as u32,
             total_len: state.len() as u64,
-            sha256: sha256(state),
+            sha256,
         }
     }
 
@@ -454,16 +468,40 @@ pub struct FoldedState<V> {
     pub app: Vec<u8>,
 }
 
+/// Appends the [`FoldedState`] encoding of its parts to `buf` without
+/// building one: `applied_len` u64, the pair count u32, each `(cmd, slot)`
+/// pair, the app length u32 and the app bytes. `dedup` must yield exactly
+/// `pairs` pairs. Lets a folder encode its window straight from the
+/// batches it shares with the replica.
+pub fn encode_folded<'a, V: Value + Wire + 'a>(
+    buf: &mut BytesMut,
+    applied_len: u64,
+    pairs: usize,
+    dedup: impl IntoIterator<Item = (&'a V, u64)>,
+    app: &[u8],
+) {
+    applied_len.encode(buf);
+    (pairs as u32).encode(buf);
+    let mut written = 0;
+    for (cmd, slot) in dedup {
+        cmd.encode(buf);
+        slot.encode(buf);
+        written += 1;
+    }
+    debug_assert_eq!(written, pairs, "the pair count heads the pairs");
+    (app.len() as u32).encode(buf);
+    buf.put_slice(app);
+}
+
 impl<V: Value + Wire> Wire for FoldedState<V> {
     fn encode(&self, buf: &mut BytesMut) {
-        self.applied_len.encode(buf);
-        (self.dedup.len() as u32).encode(buf);
-        for (cmd, slot) in &self.dedup {
-            cmd.encode(buf);
-            slot.encode(buf);
-        }
-        (self.app.len() as u32).encode(buf);
-        buf.put_slice(&self.app);
+        encode_folded(
+            buf,
+            self.applied_len,
+            self.dedup.len(),
+            self.dedup.iter().map(|(cmd, slot)| (cmd, *slot)),
+            &self.app,
+        );
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -508,7 +546,7 @@ pub fn encode_state<V: Value + Wire>(pairs: &[(V, u64)]) -> Vec<u8> {
         cmd.encode(&mut buf);
         slot.encode(&mut buf);
     }
-    buf.freeze().to_vec()
+    buf.into()
 }
 
 /// Decodes applied `(command, slot)` pairs (see [`encode_state`]).

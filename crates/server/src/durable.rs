@@ -28,9 +28,13 @@
 //!    the on-disk snapshot (atomic install), compact WAL segments below
 //!    it, and [`BatchingReplica::compact_below`] the in-memory prefix,
 //!    keeping a short `snapshot_tail` of slots for the decision-claim
-//!    path. Snapshot cost no longer grows with the log's age; the only
-//!    app that pays O(history) is `LogApp`, whose state *is* the history
-//!    by definition.
+//!    path. The order thread folds and encodes the cut (the fold must
+//!    sit at the deterministic cut) and ships the bytes; the persist
+//!    stage builds the [`Snapshot`] — the cut's one SHA-256 pass — and
+//!    installs it, and the store does not hash it again. A transferred
+//!    snapshot takes the same route. Snapshot cost no longer grows with
+//!    the log's age; the only app that pays O(history) is `LogApp`,
+//!    whose state *is* the history by definition.
 //!
 //! It also plugs the node loop's **chunked state transfer**:
 //! `serve_manifest` answers laggards — **preferring the on-disk snapshot
@@ -122,12 +126,13 @@ pub fn recover_replica<A: App>(
 ) -> RecoveredState {
     let mut out = RecoveredState::default();
     if let Some(snap) = &recovery.snapshot {
-        let mut buf = bytes::Bytes::from(snap.state.clone());
+        let upto = snap.meta().upto_slot;
+        let mut buf = bytes::Bytes::from(snap.state());
         if let Ok(fs) = FoldedState::<A::Cmd>::decode(&mut buf) {
-            if folder.restore(&fs, snap.meta.upto_slot).is_ok()
-                && replica.install_folded(&fs.dedup, fs.applied_len, snap.meta.upto_slot)
+            if folder.restore(&fs, upto).is_ok()
+                && replica.install_folded(&fs.dedup, fs.applied_len, upto)
             {
-                out.snapshot_slots = snap.meta.upto_slot;
+                out.snapshot_slots = upto;
             }
         }
     }
@@ -173,9 +178,14 @@ enum PersistMsg {
         payload: Vec<u8>,
         acked_through: u64,
     },
-    /// Install a snapshot (periodic cut or a transferred one); `acked`
-    /// is the applied-command count the cut covers.
-    Install { snap: Snapshot, acked: u64 },
+    /// Hash and install a snapshot (periodic cut or a transferred one)
+    /// over `state`, covering every slot below `upto_slot` and
+    /// `applied_len` applied commands — the watermark after the install.
+    Install {
+        upto_slot: u64,
+        applied_len: u64,
+        state: Vec<u8>,
+    },
     /// Fsync everything staged and rendezvous with the sender.
     Flush(channel::Sender<()>),
 }
@@ -198,6 +208,10 @@ struct PersistMeters {
     queue_depth: Histogram,
     queue_depth_now: Gauge,
     gate: Gauge,
+    /// Store operations that failed (each also logged to stderr).
+    append_errors: Counter,
+    sync_errors: Counter,
+    install_errors: Counter,
 }
 
 impl PersistMeters {
@@ -210,6 +224,9 @@ impl PersistMeters {
             queue_depth: reg.histogram("persist.queue_depth"),
             queue_depth_now: reg.gauge("persist.queue_depth_now"),
             gate: reg.gauge("persist.gate"),
+            append_errors: reg.counter("persist.append_errors"),
+            sync_errors: reg.counter("persist.sync_errors"),
+            install_errors: reg.counter("persist.install_errors"),
         }
     }
 }
@@ -255,6 +272,7 @@ fn persist_loop<L: Log>(
         let before = wal.syncs();
         let t = Instant::now();
         if let Err(e) = f(wal) {
+            m.sync_errors.inc();
             eprintln!("[durable] WAL sync failed: {e}");
         }
         if wal.syncs() > before {
@@ -286,31 +304,41 @@ fn persist_loop<L: Log>(
                         m.appended.inc();
                         pending.push_back((slot, acked_through));
                     }
-                    // A failed append wedges the contiguous tail; the
-                    // next snapshot install heals it (same policy the
-                    // inline path had).
-                    Err(e) => eprintln!("[durable] WAL append of slot {slot} failed: {e}"),
+                    // A failed append wedges the contiguous tail; a
+                    // later snapshot install heals it only if its cut
+                    // lands on the shipped tail.
+                    Err(e) => {
+                        m.append_errors.inc();
+                        eprintln!("[durable] WAL append of slot {slot} failed: {e}");
+                    }
                 }
                 let us = metered_sync(&mut wal, &|w| w.maybe_sync().map(|_| ()));
                 if us > 0 {
                     last_sync_us = us;
                 }
             }
-            Ok(PersistMsg::Install { snap, acked }) => {
+            Ok(PersistMsg::Install {
+                upto_slot,
+                applied_len,
+                state,
+            }) => {
+                // The cut's one SHA-256 pass; the store installs the
+                // snapshot without hashing it again.
+                let snap = Snapshot::new(upto_slot, applied_len, state);
                 match wal.install_snapshot(&snap) {
                     Ok(()) => {
                         // Records below the cut are covered by the
                         // snapshot itself.
-                        pending.retain(|&(s, _)| s >= snap.meta.upto_slot);
+                        pending.retain(|&(s, _)| s >= upto_slot);
                         if durable_ack {
-                            gate.fetch_max(acked, Ordering::SeqCst);
-                            m.gate.raise(acked);
+                            gate.fetch_max(applied_len, Ordering::SeqCst);
+                            m.gate.raise(applied_len);
                         }
                     }
-                    Err(e) => eprintln!(
-                        "[durable] snapshot install at slot {} failed: {e}",
-                        snap.meta.upto_slot
-                    ),
+                    Err(e) => {
+                        m.install_errors.inc();
+                        eprintln!("[durable] snapshot install at slot {upto_slot} failed: {e}");
+                    }
                 }
             }
             Ok(PersistMsg::Flush(reply)) => {
@@ -598,10 +626,7 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
     fn fold_state_at(&mut self, replica: &BatchingReplica<A::Cmd>, cut: u64) -> Vec<u8> {
         self.folder
             .absorb(replica.applied_from(self.folder.applied_len()), cut);
-        self.folder
-            .fold(replica.dedup_horizon())
-            .to_bytes()
-            .to_vec()
+        self.folder.fold(replica.dedup_horizon())
     }
 
     /// The periodic snapshot + compaction policy.
@@ -622,21 +647,24 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
         if cut <= self.last_cut || cut == 0 || cut < self.folder.covered_slot() {
             return;
         }
-        // The fold happens here on the order thread (byte-identical
-        // vouching requires the deterministic cut); only the disk I/O of
-        // installing it moves to the persist stage.
+        // The fold and its encoding happen here on the order thread
+        // (byte-identical vouching requires the deterministic cut); the
+        // hash and the disk I/O of installing it happen on the persist
+        // stage.
         let state = self.fold_state_at(replica, cut);
         if let Some(cell) = &self.hash_cell {
             cell.publish(self.folder.applied_len(), self.folder.state_hash());
         }
-        let snap = Snapshot::new(cut, self.folder.applied_len(), state);
-        let acked = self.folder.applied_len();
         self.last_cut = cut;
         // An install at or past the shipped tail resets the WAL there
         // (the healing path); appends resume from the cut.
         self.next_ship = self.next_ship.max(cut);
         self.wal_trailing = false;
-        self.ship(PersistMsg::Install { snap, acked });
+        self.ship(PersistMsg::Install {
+            upto_slot: cut,
+            applied_len: self.folder.applied_len(),
+            state,
+        });
         self.snapshots_taken += 1;
         // The serve cache is deliberately NOT invalidated here: a laggard
         // mid-transfer keeps pulling chunks of the manifest this node
@@ -682,9 +710,17 @@ impl<A: App, L: Log + Send + 'static, H> DurableNode<A, L, H> {
                 .read_snapshot_at(meta.upto_slot)
                 .ok()
                 .flatten()?;
-            let manifest =
-                SnapshotManifest::describe(snap.meta.upto_slot, snap.meta.applied_len, &snap.state);
-            self.serve_cache = Some((manifest, snap.state));
+            // The read path checked the state against its hash: describe
+            // it with that hash instead of hashing the bytes again.
+            let meta = snap.meta();
+            let state = snap.into_state();
+            let manifest = SnapshotManifest::describe_hashed(
+                meta.upto_slot,
+                meta.applied_len,
+                &state,
+                meta.state_hash,
+            );
+            self.serve_cache = Some((manifest, state));
         }
         self.serve_cache.as_ref()
     }
@@ -798,18 +834,18 @@ where
         replica: &mut BatchingReplica<A::Cmd>,
     ) {
         // Persist the transferred snapshot so the next restart recovers
-        // past it (the store re-verifies the hash and compacts below it),
-        // and restore the folder so future periodic folds continue from
-        // the transferred state.
-        let snap = Snapshot::new(manifest.upto_slot, manifest.applied_len, state.to_vec());
+        // past it (the persist stage hashes it and the store compacts
+        // below it), and restore the folder so future periodic folds
+        // continue from the transferred state.
         self.last_cut = self.last_cut.max(manifest.upto_slot);
         // The install resets the WAL tail at the cut when it is at or
         // past the shipped tail; appends resume from there.
         self.next_ship = self.next_ship.max(manifest.upto_slot);
         self.wal_trailing = false;
         self.ship(PersistMsg::Install {
-            snap,
-            acked: manifest.applied_len,
+            upto_slot: manifest.upto_slot,
+            applied_len: manifest.applied_len,
+            state: state.to_vec(),
         });
         if let Err(e) = self.folder.restore(fs, manifest.upto_slot) {
             eprintln!("[durable] folder restore failed: {e}");
@@ -833,11 +869,17 @@ mod tests {
     use gencon_smr::BatchingReplica;
     use gencon_store::MemStore;
     use gencon_types::{ProcessId, Round};
+    use std::sync::atomic::AtomicBool;
 
     use crate::node::NodeHook;
     use crate::NoHook;
 
     type LogDurable<H> = DurableNode<LogApp<u64>, MemStore, H>;
+
+    /// Decodes fold bytes.
+    fn decoded(fold: Vec<u8>) -> FoldedState<u64> {
+        FoldedState::decode(&mut bytes::Bytes::from(fold)).expect("a fold decodes")
+    }
 
     /// A single-replica Paxos log driven by hand: commits every round.
     fn solo_replica(cap: usize) -> BatchingReplica<u64> {
@@ -915,8 +957,7 @@ mod tests {
         // The snapshot state is a FoldedState whose LogApp fold holds the
         // full applied prefix below the cut.
         let snap = durable.store().read_snapshot().unwrap().unwrap();
-        let mut buf = bytes::Bytes::from(snap.state.clone());
-        let fs = FoldedState::<u64>::decode(&mut buf).unwrap();
+        let fs = decoded(snap.state().to_vec());
         assert_eq!(fs.applied_len, meta.applied_len);
         let pairs = decode_state::<u64>(&fs.app).unwrap();
         assert_eq!(pairs.len() as u64, meta.applied_len);
@@ -1021,11 +1062,11 @@ mod tests {
         };
         // The fold decodes, but its app bytes are not a `LogApp` fold.
         let snap = recovery.snapshot.as_mut().expect("a snapshot was taken");
-        let cut = snap.meta.upto_slot;
-        let mut fs =
-            FoldedState::<u64>::decode(&mut bytes::Bytes::from(snap.state.clone())).unwrap();
+        let meta = snap.meta();
+        let cut = meta.upto_slot;
+        let mut fs = decoded(snap.state().to_vec());
         fs.app = vec![0xff; 3];
-        snap.state = fs.to_bytes().to_vec();
+        *snap = Snapshot::new(cut, meta.applied_len, fs.to_bytes().to_vec());
         assert_eq!(recovery.records.first().map(|r| r.0), Some(cut));
 
         let mut fresh = solo_replica(2);
@@ -1104,7 +1145,7 @@ mod tests {
 
         let mut folder = Folder::<LogApp<u64>>::default();
         folder.absorb(straight.applied_from(0), 2);
-        let fs = folder.fold(straight.dedup_horizon());
+        let fs = decoded(folder.fold(straight.dedup_horizon()));
         assert_eq!(fs.dedup, per_command[..5]);
         assert_eq!(fs.applied_len, 5);
 
@@ -1138,7 +1179,7 @@ mod tests {
         // A fold whose horizon pruned its window carries a suffix only.
         let mut late = Folder::<LogApp<u64>>::default();
         late.absorb(straight.applied_from(0), 4);
-        let fs = late.fold(1);
+        let fs = decoded(late.fold(1));
         assert_eq!(fs.dedup, per_command[6..7]);
         let mut installed = solo_replica(4);
         assert!(installed.install_folded(&fs.dedup, fs.applied_len, 4));
@@ -1256,7 +1297,7 @@ mod tests {
             .unwrap()
             .expect("older cut retained");
         let manifest =
-            SnapshotManifest::describe(older.upto_slot, older.applied_len, &older_snap.state);
+            SnapshotManifest::describe(older.upto_slot, older.applied_len, older_snap.state());
         let mut state = Vec::new();
         for i in 0..manifest.chunks {
             state.extend(
@@ -1265,10 +1306,138 @@ mod tests {
                     .expect("older cut serves"),
             );
         }
-        assert_eq!(state, older_snap.state);
+        assert_eq!(state, older_snap.state());
         // A cut older than the retention window is gone.
         let pruned = older.upto_slot - (newest.upto_slot - older.upto_slot);
         assert!(durable.serve_chunk(&replica, pruned, 0).is_none());
+    }
+
+    /// Which store operations [`Flaky`] fails.
+    #[derive(Default)]
+    struct Faults {
+        append: AtomicBool,
+        sync: AtomicBool,
+        install: AtomicBool,
+    }
+
+    /// A `MemStore` whose appends, syncs and snapshot installs fail while
+    /// the matching switch in `faults` is on.
+    #[derive(Default)]
+    struct Flaky {
+        store: MemStore,
+        faults: Arc<Faults>,
+    }
+
+    fn injected(on: &AtomicBool) -> std::io::Result<()> {
+        if on.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("injected fault"));
+        }
+        Ok(())
+    }
+
+    impl Log for Flaky {
+        fn append(&mut self, slot: u64, payload: &[u8]) -> std::io::Result<()> {
+            injected(&self.faults.append)?;
+            self.store.append(slot, payload)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            injected(&self.faults.sync)?;
+            self.store.sync()
+        }
+        fn maybe_sync(&mut self) -> std::io::Result<bool> {
+            injected(&self.faults.sync)?;
+            self.store.maybe_sync()
+        }
+        fn durable_slot(&self) -> Option<u64> {
+            self.store.durable_slot()
+        }
+        fn next_slot(&self) -> u64 {
+            self.store.next_slot()
+        }
+        fn snapshot_meta(&self) -> Option<gencon_store::SnapshotMeta> {
+            self.store.snapshot_meta()
+        }
+        fn read_snapshot(&self) -> std::io::Result<Option<Snapshot>> {
+            self.store.read_snapshot()
+        }
+        fn install_snapshot(&mut self, snap: &Snapshot) -> std::io::Result<()> {
+            injected(&self.faults.install)?;
+            self.store.install_snapshot(snap)
+        }
+        fn bytes_appended(&self) -> u64 {
+            self.store.bytes_appended()
+        }
+        fn syncs(&self) -> u64 {
+            self.store.syncs()
+        }
+    }
+
+    #[test]
+    fn persist_stage_counts_failed_store_operations() {
+        let reg = Registry::new();
+        let faults = Arc::new(Faults::default());
+        let store = Flaky {
+            store: MemStore::new(),
+            faults: Arc::clone(&faults),
+        };
+        let mut replica = solo_replica(2);
+        let mut durable: DurableNode<LogApp<u64>, Flaky, NoHook> = DurableNode::new(
+            store,
+            DurableConfig {
+                snapshot_every: 8,
+                snapshot_tail: 2,
+                durable_ack: true,
+            },
+            Folder::default(),
+            NoHook,
+        )
+        .with_metrics(&reg);
+        let errors = || {
+            ["append", "sync", "install"].map(|op| {
+                reg.counter_value(&format!("persist.{op}_errors"))
+                    .unwrap_or(0)
+            })
+        };
+        // Drives rounds until `slots` more slots commit; returns how
+        // many committed.
+        let mut round = 0u64;
+        let mut drive = |durable: &mut DurableNode<LogApp<u64>, Flaky, NoHook>, slots: usize| {
+            let from = replica.committed_slots();
+            while replica.committed_slots() < from + slots {
+                round += 1;
+                replica.submit_all([round * 10, round * 10 + 1]);
+                durable.before_round(round, &mut replica);
+                drive_round(&mut replica, round);
+                durable.after_round(round, &mut replica);
+            }
+            durable.flush();
+            (replica.committed_slots() - from) as u64
+        };
+        drive(&mut durable, 6);
+        assert_eq!(errors(), [0, 0, 0], "a healthy store counts nothing");
+
+        faults.sync.store(true, Ordering::SeqCst);
+        let slots = drive(&mut durable, 2);
+        let [appends, syncs, installs] = errors();
+        assert_eq!((appends, installs), (0, 0));
+        // A group commit after each append, and the flush.
+        assert!(syncs > slots, "every failed sync is counted, got {syncs}");
+        faults.sync.store(false, Ordering::SeqCst);
+
+        faults.append.store(true, Ordering::SeqCst);
+        let slots = drive(&mut durable, 3);
+        let [appends, _, installs] = errors();
+        assert_eq!(appends, slots, "every failed append is counted");
+        assert_eq!(installs, 0);
+        faults.append.store(false, Ordering::SeqCst);
+
+        faults.install.store(true, Ordering::SeqCst);
+        let before = durable.snapshots_taken();
+        drive(&mut durable, 16);
+        let cuts = durable.snapshots_taken() - before;
+        assert!(cuts >= 2, "cuts were shipped");
+        let [_, _, installs] = errors();
+        assert_eq!(installs, cuts, "every failed install is counted");
     }
 
     #[test]

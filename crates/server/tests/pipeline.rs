@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use gencon_algos::paxos;
 use gencon_app::{App, Applier, Folder, KvApp, KvCmd, KvOp, KvReply, LogApp};
-use gencon_net::SnapshotManifest;
+use gencon_net::{FoldedState, SnapshotManifest, Wire};
 use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
 use gencon_server::{
     read_frame, write_frame, ClientGateway, ClientRequest, ClientResponse, GatewayConfig, NodeHook,
@@ -215,7 +215,7 @@ fn retry_across_state_transfer_jump_is_reacked() {
         })
         .collect();
     folder.absorb(&history, 3);
-    let fs = folder.fold(8_192);
+    let fs = FoldedState::<u64>::decode(&mut bytes::Bytes::from(folder.fold(8_192))).unwrap();
     assert_eq!(fs.applied_len, 3);
     assert!(replica.install_folded(&fs.dedup, fs.applied_len, 3));
     let manifest = SnapshotManifest::describe(3, fs.applied_len, &fs.app);

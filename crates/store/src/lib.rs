@@ -138,18 +138,19 @@ pub trait Log {
     /// Propagates the underlying I/O error; an unretained cut is `None`.
     fn read_snapshot_at(&self, upto: Slot) -> io::Result<Option<Snapshot>> {
         match self.read_snapshot()? {
-            Some(snap) if snap.meta.upto_slot == upto => Ok(Some(snap)),
+            Some(snap) if snap.meta().upto_slot == upto => Ok(Some(snap)),
             _ => Ok(None),
         }
     }
 
     /// Atomically installs `snap` and compacts records below
-    /// `snap.meta.upto_slot`.
+    /// `snap.meta().upto_slot`.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` if the snapshot does not verify or would rewind the
-    /// log; otherwise the underlying I/O error.
+    /// `InvalidInput` if the snapshot would rewind the log; otherwise the
+    /// underlying I/O error. The state is not hashed again: a
+    /// [`Snapshot`]'s hash matches its state by construction.
     fn install_snapshot(&mut self, snap: &Snapshot) -> io::Result<()>;
 
     /// Total payload bytes appended over this handle's lifetime.

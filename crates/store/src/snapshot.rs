@@ -8,6 +8,18 @@
 //! to the store — the layer above encodes the applied `(command, slot)`
 //! pairs with its own codec — but the SHA-256 `state_hash` is computed
 //! here so every consumer verifies the same thing.
+//!
+//! # Invariant: a snapshot's hash matches its state
+//!
+//! [`Snapshot`]'s fields are private, and a value comes from one of two
+//! places: [`Snapshot::new`], which hashes the state it is given, or a
+//! store's read path, which checks the cut file's CRC and then the
+//! SHA-256 before it hands the snapshot out. No code outside this crate
+//! can change the state of a snapshot after either, so every `Snapshot`
+//! in memory carries the hash of its own bytes, and
+//! [`Log::install_snapshot`](crate::Log::install_snapshot) installs it
+//! without hashing the state again. A periodic cut is hashed exactly
+//! once, when it is built.
 
 use gencon_crypto::Sha256;
 
@@ -25,13 +37,29 @@ pub struct SnapshotMeta {
     pub state_hash: [u8; 32],
 }
 
-/// A full snapshot: metadata plus the opaque encoded state.
+/// A full snapshot: metadata plus the opaque encoded state, whose hash
+/// the metadata carries (see the module docs).
+///
+/// ```
+/// use gencon_store::Snapshot;
+///
+/// let snap = Snapshot::new(4, 10, b"state".to_vec());
+/// assert_eq!(snap.meta().upto_slot, 4);
+/// assert_eq!(snap.state(), b"state");
+/// ```
+///
+/// The state cannot be changed behind the hash's back:
+///
+/// ```compile_fail
+/// use gencon_store::Snapshot;
+///
+/// let mut snap = Snapshot::new(4, 10, b"state".to_vec());
+/// snap.state[0] ^= 1;
+/// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Snapshot {
-    /// The verifiable description.
-    pub meta: SnapshotMeta,
-    /// Opaque encoded applied-prefix state.
-    pub state: Vec<u8>,
+    meta: SnapshotMeta,
+    state: Vec<u8>,
 }
 
 impl Snapshot {
@@ -46,10 +74,28 @@ impl Snapshot {
         Snapshot { meta, state }
     }
 
-    /// Whether the state bytes match the recorded hash.
+    /// Rebuilds a snapshot read back from storage, or `None` if `state`
+    /// does not hash to `meta.state_hash`.
+    pub(crate) fn checked(meta: SnapshotMeta, state: Vec<u8>) -> Option<Self> {
+        (state_hash(&state) == meta.state_hash).then_some(Snapshot { meta, state })
+    }
+
+    /// The verifiable description.
     #[must_use]
-    pub fn verify(&self) -> bool {
-        state_hash(&self.state) == self.meta.state_hash
+    pub fn meta(&self) -> SnapshotMeta {
+        self.meta
+    }
+
+    /// The opaque encoded applied-prefix state.
+    #[must_use]
+    pub fn state(&self) -> &[u8] {
+        &self.state
+    }
+
+    /// Consumes the snapshot, returning its state bytes.
+    #[must_use]
+    pub fn into_state(self) -> Vec<u8> {
+        self.state
     }
 }
 
@@ -69,21 +115,23 @@ mod tests {
     #[test]
     fn new_hashes_and_verifies() {
         let snap = Snapshot::new(7, 42, b"applied prefix".to_vec());
-        assert_eq!(snap.meta.upto_slot, 7);
-        assert_eq!(snap.meta.applied_len, 42);
-        assert!(snap.verify());
+        assert_eq!(snap.meta().upto_slot, 7);
+        assert_eq!(snap.meta().applied_len, 42);
+        assert_eq!(snap.meta().state_hash, state_hash(b"applied prefix"));
+        assert!(Snapshot::checked(snap.meta(), snap.state().to_vec()).is_some());
     }
 
     #[test]
     fn tampered_state_fails_verification() {
-        let mut snap = Snapshot::new(7, 42, b"applied prefix".to_vec());
-        snap.state[0] ^= 0x01;
-        assert!(!snap.verify());
+        let snap = Snapshot::new(7, 42, b"applied prefix".to_vec());
+        let mut state = snap.state().to_vec();
+        state[0] ^= 0x01;
+        assert!(Snapshot::checked(snap.meta(), state).is_none());
     }
 
     #[test]
     fn empty_state_is_valid() {
         let snap = Snapshot::new(0, 0, Vec::new());
-        assert!(snap.verify());
+        assert!(Snapshot::checked(snap.meta(), Vec::new()).is_some());
     }
 }

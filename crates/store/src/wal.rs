@@ -46,7 +46,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use gencon_crypto::crc32::crc32;
+use gencon_crypto::crc32::{self, crc32};
 
 use crate::{Log, Slot, Snapshot, SnapshotMeta};
 
@@ -184,11 +184,11 @@ impl FileWal {
         for path in candidates {
             match read_snapshot_file(&path)? {
                 Some(snap) => {
-                    snapshots.push((snap.meta, path));
+                    snapshots.push((snap.meta(), path));
                     if recovery
                         .snapshot
                         .as_ref()
-                        .is_none_or(|best| best.meta.upto_slot < snap.meta.upto_slot)
+                        .is_none_or(|best| best.meta().upto_slot < snap.meta().upto_slot)
                     {
                         // The newest cut that verifies drives recovery;
                         // a corrupt newer file simply never gets here.
@@ -199,7 +199,7 @@ impl FileWal {
             }
         }
         snapshots.sort_by_key(|(m, _)| m.upto_slot);
-        let replay_from = recovery.snapshot.as_ref().map_or(0, |s| s.meta.upto_slot);
+        let replay_from = recovery.snapshot.as_ref().map_or(0, |s| s.meta().upto_slot);
 
         // --- segments, in slot order ---
         let mut segments: Vec<Segment> = Vec::new();
@@ -435,37 +435,34 @@ fn read_snapshot_file(path: &Path) -> io::Result<Option<Snapshot>> {
     if crc32(&data[4..state_end]) != crc {
         return Ok(None);
     }
-    let snap = Snapshot {
-        meta: SnapshotMeta {
-            upto_slot: upto,
-            applied_len,
-            state_hash,
-        },
-        state: data[60..state_end].to_vec(),
+    let meta = SnapshotMeta {
+        upto_slot: upto,
+        applied_len,
+        state_hash,
     };
-    if !snap.verify() {
-        return Ok(None);
-    }
-    Ok(Some(snap))
+    data.truncate(state_end);
+    Ok(Snapshot::checked(meta, data.split_off(60)))
 }
 
 fn write_snapshot_file(path: &Path, snap: &Snapshot) -> io::Result<()> {
-    let mut data = Vec::with_capacity(60 + snap.state.len() + 4);
-    data.extend_from_slice(SNAPSHOT_MAGIC);
-    data.extend_from_slice(&VERSION.to_le_bytes());
-    data.extend_from_slice(&snap.meta.upto_slot.to_le_bytes());
-    data.extend_from_slice(&snap.meta.applied_len.to_le_bytes());
-    data.extend_from_slice(&snap.meta.state_hash);
-    data.extend_from_slice(&(snap.state.len() as u32).to_le_bytes());
-    data.extend_from_slice(&snap.state);
-    let crc = crc32(&data[4..]);
-    data.extend_from_slice(&crc.to_le_bytes());
+    let meta = snap.meta();
+    let state = snap.state();
+    let mut header = Vec::with_capacity(60);
+    header.extend_from_slice(SNAPSHOT_MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&meta.upto_slot.to_le_bytes());
+    header.extend_from_slice(&meta.applied_len.to_le_bytes());
+    header.extend_from_slice(&meta.state_hash);
+    header.extend_from_slice(&(state.len() as u32).to_le_bytes());
+    let crc = crc32::update(crc32::update(!0, &header[4..]), state) ^ !0;
     let mut f = OpenOptions::new()
         .create(true)
         .truncate(true)
         .write(true)
         .open(path)?;
-    f.write_all(&data)?;
+    f.write_all(&header)?;
+    f.write_all(state)?;
+    f.write_all(&crc.to_le_bytes())?;
     f.sync_all()
 }
 
@@ -550,13 +547,7 @@ impl Log for FileWal {
     }
 
     fn install_snapshot(&mut self, snap: &Snapshot) -> io::Result<()> {
-        if !snap.verify() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "snapshot state hash mismatch",
-            ));
-        }
-        let upto = snap.meta.upto_slot;
+        let upto = snap.meta().upto_slot;
         // Atomic install: full tmp write + fsync, then rename into the
         // cut's numbered file. A crash leaves either the old cut set or
         // the old set plus the new cut, never a torn file (recovery
@@ -570,7 +561,7 @@ impl Log for FileWal {
         // file-level fsync does not persist directory entries.
         sync_dir(&self.dir)?;
         self.snapshots.retain(|(m, _)| m.upto_slot != upto);
-        self.snapshots.push((snap.meta, path));
+        self.snapshots.push((snap.meta(), path));
         self.snapshots.sort_by_key(|(m, _)| m.upto_slot);
         // Prune: the oldest cuts fall off past the retention bound.
         while self.snapshots.len() > self.cfg.snapshot_keep.max(1) {
@@ -866,17 +857,17 @@ mod tests {
         assert_eq!(wal.snapshot_meta().unwrap().upto_slot, 30);
         // The older retained cut is still fetchable; the pruned one is not.
         let older = wal.read_snapshot_at(20).unwrap().expect("cut 20 retained");
-        assert_eq!(older.state, b"state@20");
+        assert_eq!(older.state(), b"state@20");
         assert!(wal.read_snapshot_at(10).unwrap().is_none());
         assert!(!snapshot_path(&dir, 10).exists(), "pruned file deleted");
         drop(wal);
 
         // Reopen: both cuts are rediscovered, the newest drives recovery.
         let (wal, rec) = FileWal::open(&dir, cfg).unwrap();
-        assert_eq!(rec.snapshot.unwrap().meta.upto_slot, 30);
+        assert_eq!(rec.snapshot.unwrap().meta().upto_slot, 30);
         assert_eq!(wal.snapshot_metas().len(), 2);
         assert_eq!(
-            wal.read_snapshot_at(20).unwrap().unwrap().state,
+            wal.read_snapshot_at(20).unwrap().unwrap().state(),
             b"state@20"
         );
         fs::remove_dir_all(&dir).ok();
@@ -896,10 +887,53 @@ mod tests {
         let (wal, rec) = FileWal::open(&dir, WalConfig::default()).unwrap();
         assert!(rec.snapshot_corrupt);
         let snap = rec.snapshot.expect("older cut still recovers");
-        assert_eq!(snap.meta.upto_slot, 10);
-        assert_eq!(snap.state, b"older");
+        assert_eq!(snap.meta().upto_slot, 10);
+        assert_eq!(snap.state(), b"older");
         assert_eq!(wal.snapshot_meta().unwrap().upto_slot, 10);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two cuts on disk, then `tamper` edits the newest cut file in
+    /// place; recovery must fall back to the older cut and report the
+    /// newer one as corrupt.
+    fn newest_cut_tampered_falls_back(tag: &str, tamper: impl FnOnce(&mut Vec<u8>)) {
+        let dir = tmpdir(tag);
+        let (mut wal, _) = FileWal::open(&dir, WalConfig::default()).unwrap();
+        wal.install_snapshot(&Snapshot::new(10, 5, b"older state".to_vec()))
+            .unwrap();
+        wal.install_snapshot(&Snapshot::new(20, 9, b"newer state".to_vec()))
+            .unwrap();
+        drop(wal);
+        let path = snapshot_path(&dir, 20);
+        let mut data = fs::read(&path).unwrap();
+        let len = data.len();
+        tamper(&mut data);
+        assert_eq!(data.len(), len, "the file keeps its length");
+        fs::write(&path, &data).unwrap();
+        let (wal, rec) = FileWal::open(&dir, WalConfig::default()).unwrap();
+        assert!(rec.snapshot_corrupt);
+        let snap = rec.snapshot.expect("older cut still recovers");
+        assert_eq!(snap.meta().upto_slot, 10);
+        assert_eq!(snap.state(), b"older state");
+        assert_eq!(wal.snapshot_metas().len(), 1, "the bad cut is not retained");
+        assert!(wal.read_snapshot_at(20).unwrap().is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_state_byte_fails_the_crc() {
+        // The state starts after the 60-byte header.
+        newest_cut_tampered_falls_back("flipcrc", |data| data[60 + 3] ^= 0x01);
+    }
+
+    #[test]
+    fn a_flipped_state_byte_under_a_fresh_crc_fails_the_hash() {
+        newest_cut_tampered_falls_back("fliphash", |data| {
+            data[60 + 3] ^= 0x01;
+            let body = data.len() - 4;
+            let crc = crc32(&data[4..body]);
+            data[body..].copy_from_slice(&crc.to_le_bytes());
+        });
     }
 
     #[test]
@@ -916,7 +950,7 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
         let (_, rec) = FileWal::open(&dir, WalConfig::default()).unwrap();
-        assert_eq!(rec.snapshot.unwrap().meta.upto_slot, 500);
+        assert_eq!(rec.snapshot.unwrap().meta().upto_slot, 500);
         assert_eq!(rec.records, vec![(500, b"resumed".to_vec())]);
         fs::remove_dir_all(&dir).ok();
     }

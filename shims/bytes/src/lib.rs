@@ -201,6 +201,13 @@ impl BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    /// Takes the written bytes without copying them.
+    fn from(b: BytesMut) -> Self {
+        b.vec
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
